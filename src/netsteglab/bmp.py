@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 HEADER_LEN = 54          # 14-byte file header + 40-byte info header
 PALETTE_LEN = 256 * 4
+BI_RGB = 0               # biCompression value of uncompressed pixel data
+MAX_FILE_SIZE = 0xFFFFFFFF  # bfSize is a 32-bit field
 _FILE_HEADER = struct.Struct("<2sIHHI")
 _INFO_HEADER = struct.Struct("<IiiHHIIiiII")
 
@@ -77,18 +79,27 @@ def parse_bmp_info(data: bytes) -> BmpInfo:
     width = struct.unpack_from("<i", data, 18)[0]
     height = struct.unpack_from("<i", data, 22)[0]
     bpp = struct.unpack_from("<H", data, 28)[0]
+    compression = struct.unpack_from("<I", data, 30)[0]
     if bpp not in (8, 24):
         raise UnsupportedBpp(f"{bpp} bits per pixel")
+    if compression != BI_RGB:
+        raise NotBmp(f"compressed pixel data (biCompression={compression})")
     if width <= 0 or height == 0:
         raise NotBmp(f"degenerate dimensions {width}x{height}")
     if pixel_offset < HEADER_LEN:
         raise NotBmp("pixel data would overlap the header")
-    return BmpInfo(
+    info = BmpInfo(
         pixel_offset=pixel_offset,
         width=width,
         height=abs(height),
         bits_per_pixel=bpp,
     )
+    if info.pixel_data_end > MAX_FILE_SIZE:
+        raise NotBmp(
+            f"{width}x{abs(height)} pixel data ends at byte {info.pixel_data_end}, "
+            "past what the 32-bit bfSize field can describe"
+        )
+    return info
 
 
 def bmp_file_size(width: int, height: int, bpp: int = 24) -> int:
@@ -98,28 +109,43 @@ def bmp_file_size(width: int, height: int, bpp: int = 24) -> int:
     return HEADER_LEN + palette + height * stride
 
 
-def _pixel_value(x: int, y: int, pattern: str):
-    if pattern == "gradient":
-        return x & 0xFF, y & 0xFF, (x * 7 + y * 13) & 0xFF
-    if pattern == "even":
-        return x & 0xFE, y & 0xFE, (x * 7 + y * 13) & 0xFE
-    if pattern == "flat":
-        return 0x80, 0x80, 0x80
-    raise ValueError(f"unknown pattern {pattern!r}")
+_BYTE_VALUES = bytes(range(256))
+_TIMES_7 = bytes(7 * v & 0xFF for v in range(256))
+_GRAY_PALETTE = bytes(v for i in range(256) for v in (i, i, i, 0))
+# each pattern maps every gradient byte through one translate table
+_PATTERN_TABLES = {
+    "gradient": None,
+    "even": bytes(v & 0xFE for v in range(256)),
+    "flat": b"\x80" * 256,
+}
+
+
+def _plus(k: int) -> bytes:
+    """Translate table adding ``k`` modulo 256 to every byte."""
+    k &= 0xFF
+    return _BYTE_VALUES[k:] + _BYTE_VALUES[:k]
 
 
 def make_bmp(width: int, height: int, bpp: int = 24, pattern: str = "gradient") -> bytes:
     """Deterministic synthetic BMP so tests and demos need no binary fixtures.
 
     ``pattern`` selects the pixel fill: ``gradient`` (varied low bits),
-    ``even`` (all carrier bytes with LSB 0) or ``flat``.
+    ``even`` (all carrier bytes with LSB 0) or ``flat``.  The gradient
+    pixel at column x, row y is ``(blue, green, red) = (x, y, 7x + 13y)``
+    modulo 256; ``even`` clears each byte's LSB and ``flat`` sets every
+    byte to 0x80.  8-bpp files store the red value.  Rows are built whole,
+    a channel at a time, with slices and translate tables.
     """
     if width < 1 or height < 1:
         raise ValueError("width and height must be positive")
     if bpp not in (8, 24):
         raise UnsupportedBpp(f"{bpp} bits per pixel")
-    stride = (width * (bpp // 8) + 3) // 4 * 4
-    padding = b"\x00" * (stride - width * (bpp // 8))
+    if pattern not in _PATTERN_TABLES:
+        raise ValueError(f"unknown pattern {pattern!r}")
+    table = _PATTERN_TABLES[pattern]
+    pixel_bytes = width * (bpp // 8)
+    stride = (pixel_bytes + 3) // 4 * 4
+    padding = bytes(stride - pixel_bytes)
     pixel_offset = HEADER_LEN + (PALETTE_LEN if bpp == 8 else 0)
     image_size = height * stride
 
@@ -127,17 +153,19 @@ def make_bmp(width: int, height: int, bpp: int = 24, pattern: str = "gradient") 
     out += _FILE_HEADER.pack(b"BM", pixel_offset + image_size, 0, 0, pixel_offset)
     out += _INFO_HEADER.pack(40, width, height, 1, bpp, 0, image_size, 2835, 2835, 0, 0)
     if bpp == 8:
-        for i in range(256):
-            out += struct.pack("<BBBB", i, i, i, 0)
+        out += _GRAY_PALETTE
+    ramp = (_BYTE_VALUES * (width // 256 + 1))[:width]  # x mod 256, per column
+    red0 = ramp.translate(_TIMES_7)                      # the red of row 0
+    row = bytearray(pixel_bytes)
+    if bpp == 24:
+        row[0::3] = ramp.translate(table)
     for y in range(height):
-        row = bytearray()
+        red = red0.translate(_plus(13 * y)).translate(table)
         if bpp == 24:
-            for x in range(width):
-                blue, green, red = _pixel_value(x, y, pattern)
-                row += bytes((blue, green, red))
+            row[1::3] = bytes((y & 0xFF,)).translate(table) * width
+            row[2::3] = red
+            out += row
         else:
-            for x in range(width):
-                _, _, value = _pixel_value(x, y, pattern)
-                row.append(value)
-        out += row + padding
+            out += red
+        out += padding
     return bytes(out)

@@ -56,23 +56,39 @@ class OddBurst(CovertChannelError):
 # bit container
 
 
+_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")    # ASCII digits -> bit values
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bit values -> ASCII digits
+
+
+def _msb_plane(value: int, width: int) -> bytes:
+    """``value`` as ``width`` bit values, most significant first."""
+    return format(value, f"0{width}b").encode().translate(_TO_BITS) if width else b""
+
+
 class BitMessage:
-    """Immutable ordered sequence of bits; MSB-first in every conversion."""
+    """Immutable ordered sequence of bits; MSB-first in every conversion.
+
+    The bits are stored as a ``bytes`` of 0/1 values (a bit plane), so every
+    conversion is a single ``int``/``translate`` call, not a loop per bit.
+    """
 
     __slots__ = ("_bits",)
 
     def __init__(self, bits: Iterable[int] = ()):
-        values = tuple(int(b) for b in bits)
-        for b in values:
-            if b not in (0, 1):
-                raise ValueError(f"not a bit: {b!r}")
+        if isinstance(bits, (bytes, bytearray)):
+            values = bytes(bits)
+        else:
+            values = bytes(map(int, bits))
+        stray = values.translate(None, b"\x00\x01")
+        if stray:
+            raise ValueError(f"not a bit: {stray[0]!r}")
         object.__setattr__(self, "_bits", values)
 
     # construction -----------------------------------------------------------
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BitMessage":
-        return cls((byte >> (7 - i)) & 1 for byte in data for i in range(8))
+        return cls(_msb_plane(int.from_bytes(data, "big"), 8 * len(data)))
 
     @classmethod
     def from_int(cls, value: int, width: int) -> "BitMessage":
@@ -80,7 +96,7 @@ class BitMessage:
             raise ValueError("value must be non-negative")
         if value.bit_length() > width:
             raise ValueError(f"{value} does not fit in {width} bits")
-        return cls((value >> (width - 1 - i)) & 1 for i in range(width))
+        return cls(_msb_plane(value, width))
 
     @classmethod
     def from_hex(cls, text: str) -> "BitMessage":
@@ -91,38 +107,40 @@ class BitMessage:
 
     @classmethod
     def from01(cls, text: str) -> "BitMessage":
-        return cls(int(c) for c in text.strip())
+        return cls(text.strip().encode().translate(_TO_BITS))
 
     @classmethod
     def random(cls, n: int, seed) -> "BitMessage":
         rng = random.Random(seed)
         return cls(rng.getrandbits(1) for _ in range(n))
 
+    @classmethod
+    def concat(cls, messages: Iterable["BitMessage"]) -> "BitMessage":
+        """All ``messages`` joined in order, copying each bit once."""
+        return cls(b"".join(m._bits for m in messages))
+
     # conversion -------------------------------------------------------------
 
     def to_int(self) -> int:
-        value = 0
-        for b in self._bits:
-            value = (value << 1) | b
-        return value
+        return int(self._bits.translate(_TO_DIGITS) or b"0", 2)
 
     def to_bytes(self) -> bytes:
         """Pack MSB-first; a final partial byte is zero-padded at the low end."""
-        out = bytearray((len(self._bits) + 7) // 8)
-        for i, b in enumerate(self._bits):
-            if b:
-                out[i >> 3] |= 0x80 >> (i & 7)
-        return bytes(out)
+        n = len(self._bits)
+        return (self.to_int() << (-n % 8)).to_bytes((n + 7) // 8, "big")
 
     def to01(self) -> str:
-        return "".join(str(b) for b in self._bits)
+        return self._bits.translate(_TO_DIGITS).decode()
 
     def packed_hex(self) -> str:
         return self.to_bytes().hex()
 
     def bit_errors(self, other: "BitMessage") -> int:
         """Hamming distance over the shared prefix of the two messages."""
-        return sum(a != b for a, b in zip(self._bits, other._bits))
+        n = min(len(self._bits), len(other._bits))
+        # one bit per byte, so XOR leaves a 1 bit exactly where they differ
+        diff = int.from_bytes(self._bits[:n], "big") ^ int.from_bytes(other._bits[:n], "big")
+        return diff.bit_count()
 
     # sequence protocol ------------------------------------------------------
 
@@ -131,6 +149,10 @@ class BitMessage:
 
     def __iter__(self):
         return iter(self._bits)
+
+    def __bytes__(self) -> bytes:
+        """The bit plane: one byte, 0 or 1, per bit."""
+        return self._bits
 
     def __getitem__(self, item):
         if isinstance(item, slice):
@@ -194,17 +216,14 @@ def ip_storage_encode(msg: BitMessage, frames: Sequence[EthernetFrame]) -> List[
 
 def ip_storage_decode(frames: Sequence[EthernetFrame]) -> BitMessage:
     """Read 32 bits back from every frame, in frame order."""
-    bits = BitMessage()
+    words = []
     for frame in frames:
         _require_ipv4(frame, "ip-storage")
         ip = frame.ip
-        bits = (
-            bits
-            + BitMessage.from_int(ip.identification, 16)
-            + BitMessage.from_int(ip.flags, 3)
-            + BitMessage.from_int(ip.frag_offset, 13)
-        )
-    return bits
+        words.append(BitMessage.from_int(
+            (ip.identification << 16) | (ip.flags << 13) | ip.frag_offset, 32
+        ))
+    return BitMessage.concat(words)
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +270,12 @@ def ttl_encode(msg: BitMessage, frames: Sequence[EthernetFrame], cfg: TtlConfig)
 
 def ttl_decode(frames: Sequence[EthernetFrame], cfg: TtlConfig) -> BitMessage:
     low = 8 - cfg.k
-    bits = BitMessage()
+    chunks = []
     for frame in frames:
         _require_ipv4(frame, "ttl")
         value = ((frame.ip.ttl + cfg.hop_count) & 0xFF) >> low
-        bits = bits + BitMessage.from_int(value, cfg.k)
-    return bits
+        chunks.append(BitMessage.from_int(value, cfg.k))
+    return BitMessage.concat(chunks)
 
 
 # ---------------------------------------------------------------------------

@@ -532,10 +532,11 @@ def _decode_channel(args: argparse.Namespace) -> int:
         bits = ttl_decode(frames, _ttl_config(args))
     elif channel == "isn":
         n_bits = _pick(args, "n_bits", 8)
-        bits = BitMessage()
-        for frame in frames:
-            if frame.tcp is not None and frame.tcp.flags & TCP_SYN:
-                bits = bits + isn_decode(frame.tcp.seq, n_bits)
+        bits = BitMessage.concat(
+            isn_decode(frame.tcp.seq, n_bits)
+            for frame in frames
+            if frame.tcp is not None and frame.tcp.flags & TCP_SYN
+        )
     elif channel == "timing":
         cfg = _timing_config(args)
         stamps = [
@@ -547,10 +548,12 @@ def _decode_channel(args: argparse.Namespace) -> int:
         bits = order_decode(frames)
     elif channel == "http-order":
         cfg = _http_config(args)
-        bits = BitMessage()
-        for frame in frames:
-            names = _parse_http_request(frame.tcp_payload)
-            bits = bits + http_header_decode(names, cfg, n_bits=cfg.capacity_bits)
+        bits = BitMessage.concat(
+            http_header_decode(
+                _parse_http_request(frame.tcp_payload), cfg, n_bits=cfg.capacity_bits
+            )
+            for frame in frames
+        )
     else:
         raise UsageError(f"unknown channel {channel!r}")
 

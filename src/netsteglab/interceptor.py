@@ -11,6 +11,20 @@ The bit written at carrier index ``i`` is a pure function of ``i`` and the
 policy — never of arrival order — so retransmitted, reordered or
 differently-segmented traffic embeds identically, and a receiver holding
 the same :class:`StegoPolicy` can extract from the reassembled file alone.
+
+The engine works a pixel row at a time, never a byte at a time.
+:func:`carrier_slices` maps a stream range to one extended slice per row
+it touches (step 3 over the red bytes at 24 bpp, step 1 at 8 bpp), and the
+carriers of a frame carry one contiguous run of carrier indices.  The
+embedding source is a bit plane, ``bytes`` of 0/1 values
+(:meth:`StegoPolicy.bits`).  At full coverage a frame's carriers are read
+with the row slices, their LSBs cleared with ``bytes.translate`` and the
+plane ORed in as one big integer, then written back slice by slice;
+extraction joins the same slices and translates them to their LSBs.  Below
+full coverage only the selected carriers are touched, so Python work grows
+with the selected count, never with every carrier.  :func:`carrier_offsets`
+lists carrier positions one by one and is kept as the reference the engine
+is tested against.
 """
 
 from __future__ import annotations
@@ -18,8 +32,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import floor
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import ceil, floor
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .bmp import BmpInfo, NotBmp, UnsupportedBpp, parse_bmp_info
 from .channels import BitMessage
@@ -43,6 +57,7 @@ __all__ = [
     "track",
     "classify_payload",
     "carrier_offsets",
+    "carrier_slices",
     "embed_in_frame",
     "extract_from_file",
     "process_stream",
@@ -81,7 +96,9 @@ class FlowState:
     frames_seen: int = 0
     frames_modified: int = 0
     carrier_bits: int = 0
-    skipped: set = field(default_factory=set)
+    # carrier-index intervals [lo, hi) that passed before classification and
+    # have not been embedded since; disjoint and sorted
+    skipped: list = field(default_factory=list)
     pending_ranges: list = field(default_factory=list)
 
 
@@ -94,9 +111,19 @@ class FlowReport:
     skipped_bits: int
 
 
+KEYSTREAM_BLOCK_BITS = 4096
+
+
 @lru_cache(maxsize=128)
 def _keystream_block(seed: int, block: int) -> int:
-    return random.Random(f"{seed}/{block}").getrandbits(4096)
+    return random.Random(f"{seed}/{block}").getrandbits(KEYSTREAM_BLOCK_BITS)
+
+
+@lru_cache(maxsize=128)
+def _keystream_plane(seed: int, block: int) -> bytes:
+    """The block's bits as 0/1 bytes, least significant bit first."""
+    msb_first = format(_keystream_block(seed, block), f"0{KEYSTREAM_BLOCK_BITS}b")
+    return bytes(BitMessage.from01(msb_first[::-1]))
 
 
 @dataclass(frozen=True)
@@ -141,8 +168,57 @@ class StegoPolicy:
         """The bit written at carrier index ``index`` (pure in ``index``)."""
         return self.source_bit(self.rank(index))
 
+    def bits(self, lo: int, hi: int) -> bytes:
+        """Source bits ``lo .. hi-1`` as a plane of 0/1 bytes."""
+        n = hi - lo
+        if n <= 0:
+            return b""
+        if self.message is not None:
+            plane = bytes(self.message)
+            skip = lo % len(plane)
+            return (plane * ((skip + n) // len(plane) + 1))[skip:skip + n]
+        first = lo // KEYSTREAM_BLOCK_BITS
+        last = (hi - 1) // KEYSTREAM_BLOCK_BITS
+        plane = b"".join(
+            _keystream_plane(self.keystream_seed, block) for block in range(first, last + 1)
+        )
+        skip = lo - first * KEYSTREAM_BLOCK_BITS
+        return plane[skip:skip + n]
+
     def source_bits(self, n: int) -> BitMessage:
-        return BitMessage(self.source_bit(j) for j in range(n))
+        return BitMessage(self.bits(0, n))
+
+    def chosen(self, lo: int, hi: int) -> Sequence[int]:
+        """The selected carrier indices in ``[lo, hi)``, ascending.
+
+        Equal to ``[i for i in range(lo, hi) if self.selected(i)]``, float
+        rounding included, but found from the ranks: carrier ``i`` is
+        selected iff rank ``t = floor((i+1)*c)`` is first reached at
+        ``i + 1``.  So the cost grows with the selected count only.
+        """
+        c = self.coverage
+        if c >= 1.0:
+            return range(lo, hi)
+        out: List[int] = []
+        for t in range(floor(lo * c) + 1, floor(hi * c) + 1):
+            i = ceil(t / c)  # estimate of the first i with floor(i*c) >= t
+            while floor(i * c) < t:
+                i += 1
+            while floor((i - 1) * c) >= t:
+                i -= 1
+            if not out or out[-1] != i - 1:  # a rank skipped by rounding repeats i
+                out.append(i - 1)
+        return out
+
+    def selection(self, lo: int, hi: int) -> Tuple[Sequence[int], bytes]:
+        """The selected carrier indices in ``[lo, hi)`` and the bit for each."""
+        chosen = self.chosen(lo, hi)
+        first = self.rank(lo)
+        plane = self.bits(first, self.rank(hi))
+        if len(plane) != len(chosen):
+            # rounding skipped a rank; look each one up
+            plane = bytes(plane[self.rank(i) - first] for i in chosen)
+        return chosen, plane
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +275,49 @@ def classify_payload(state: FlowState) -> Optional[BmpInfo]:
 # carrier addressing
 
 
+def carrier_slices(bmp: BmpInfo, start: int, end: int) -> Iterator[Tuple[int, int, int, int]]:
+    """Carriers inside stream range [start, end), one pixel row at a time.
+
+    Yields ``(offset, step, first, count)`` for each row holding carriers in
+    range: they sit at ``payload[offset:offset + step * count:step]`` of the
+    payload that starts at stream position ``start``, and carry indices
+    ``first .. first + count - 1``.  The step is the pixel size, so at
+    24 bpp the slice walks the red byte of each BGR triple.  Successive
+    rows continue the index run, so the carriers of any range hold one
+    contiguous run of carrier indices.
+    """
+    lo = max(start, bmp.pixel_offset)
+    hi = min(end, bmp.pixel_data_end)
+    if lo >= hi:
+        return
+    stride = bmp.row_stride
+    width = bmp.width
+    step = bmp.bytes_per_pixel
+    lead = 2 if step == 3 else 0  # red lives at the third byte of each BGR triple
+    for row in range((lo - bmp.pixel_offset) // stride, (hi - 1 - bmp.pixel_offset) // stride + 1):
+        first_pos = bmp.pixel_offset + row * stride + lead
+        p_lo = max(0, -((lo - first_pos) // -step))
+        p_hi = min(width, (hi - 1 - first_pos) // step + 1)
+        if p_lo < p_hi:
+            yield first_pos + step * p_lo - start, step, row * width + p_lo, p_hi - p_lo
+
+
+def _index_span(bmp: BmpInfo, start: int, end: int) -> Optional[Tuple[int, int]]:
+    """The run of carrier indices inside stream range [start, end), if any."""
+    rows = list(carrier_slices(bmp, start, end))
+    if not rows:
+        return None
+    _, _, last, count = rows[-1]
+    return rows[0][2], last + count
+
+
 def carrier_offsets(bmp: BmpInfo, start: int, end: int) -> List[Tuple[int, int]]:
     """Carrier positions intersecting stream range [start, end).
 
     Returns ``(stream_position, carrier_index)`` pairs in stream order.
     The carrier index counts carriers from the start of the pixel data
-    (row * width + pixel), independent of the queried range.
+    (row * width + pixel), independent of the queried range.  This is the
+    byte-at-a-time reference for :func:`carrier_slices`.
     """
     start = max(start, bmp.pixel_offset)
     end = min(end, bmp.pixel_data_end)
@@ -237,32 +350,30 @@ def carrier_offsets(bmp: BmpInfo, start: int, end: int) -> List[Tuple[int, int]]
 # embedding
 
 
-def _embed(
-    frame: EthernetFrame, state: FlowState, policy: StegoPolicy
-) -> Tuple[EthernetFrame, List[int]]:
-    if state.bmp is None:
-        return frame, []
-    payload = frame.tcp_payload
-    if not payload:
-        return frame, []
-    start = (frame.tcp.seq - state.base_seq) % SEQ_MOD
-    positions = carrier_offsets(state.bmp, start, start + len(payload))
-    if not positions:
-        return frame, []
-    buf = bytearray(payload)
-    written: List[int] = []
-    for pos, index in positions:
-        if not policy.selected(index):
-            continue
-        i = pos - start
-        buf[i] = (buf[i] & 0xFE) | policy.bit_at(index)
-        written.append(index)
-    if not written:
-        return frame, []
-    new_payload = bytes(buf)
-    if new_payload == payload:
-        return frame, written  # bits already matched; nothing to rewrite
-    return with_tcp_payload(frame, new_payload), written
+_LSB = bytes(v & 1 for v in range(256))
+_CLEAR_LSB = bytes(v & 0xFE for v in range(256))
+
+
+def _union(spans: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """The union of intervals [lo, hi), as disjoint sorted intervals."""
+    out: List[Tuple[int, int]] = []
+    for lo, hi in sorted(spans):
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def _cut(spans: List[Tuple[int, int]], lo: int, hi: int) -> List[Tuple[int, int]]:
+    """Disjoint sorted ``spans`` minus the interval [lo, hi)."""
+    out = []
+    for a, b in spans:
+        if a < lo:
+            out.append((a, min(b, lo)))
+        if b > hi:
+            out.append((max(a, hi), b))
+    return out
 
 
 def embed_in_frame(
@@ -271,11 +382,43 @@ def embed_in_frame(
     """Embed policy bits into the frame's carrier bytes; repair checksums.
 
     Pure in (stream offset, policy): the same frame embeds to the same
-    bytes no matter when or how often it passes.  Frames overlapping no
-    carrier positions come back unchanged (the identical object).
+    bytes no matter when or how often it passes.  Frames whose carrier
+    bytes already hold their bits, or that overlap no carrier, come back
+    unchanged (the identical object).  The selected carriers are counted
+    in ``state.carrier_bits`` and no longer count as skipped.
     """
-    new_frame, _ = _embed(frame, state, policy)
-    return new_frame
+    payload = frame.tcp_payload
+    if state.bmp is None or not payload:
+        return frame
+    start = (frame.tcp.seq - state.base_seq) % SEQ_MOD
+    rows = [
+        (slice(offset, offset + step * count, step), first, count)
+        for offset, step, first, count in carrier_slices(state.bmp, start, start + len(payload))
+    ]
+    if not rows:
+        return frame
+    lo = rows[0][1]
+    hi = rows[-1][1] + rows[-1][2]
+    chosen, bits = policy.selection(lo, hi)
+    state.carrier_bits += len(chosen)
+    if state.skipped:
+        state.skipped = _cut(state.skipped, lo, hi)
+    carriers = b"".join(payload[row] for row, _, _ in rows)
+    if len(chosen) == len(carriers):
+        stego = (
+            int.from_bytes(carriers.translate(_CLEAR_LSB), "big") | int.from_bytes(bits, "big")
+        ).to_bytes(len(carriers), "big")
+    else:
+        stego = bytearray(carriers)
+        for index, bit in zip(chosen, bits):
+            stego[index - lo] = stego[index - lo] & 0xFE | bit
+    if stego == carriers:
+        return frame  # bits already matched; nothing to rewrite
+    buf = bytearray(payload)
+    for row, first, count in rows:
+        buf[row] = stego[first - lo:first - lo + count]
+    state.frames_modified += 1
+    return with_tcp_payload(frame, bytes(buf))
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +449,10 @@ class Interceptor:
                 except UnsupportedBpp:
                     state.bmp = None
                 if state.bmp is not None:
-                    for lo, hi in state.pending_ranges:
-                        for _, index in carrier_offsets(state.bmp, lo, hi):
-                            if self.policy.selected(index):
-                                state.skipped.add(index)
+                    state.skipped = _union(
+                        span for lo, hi in state.pending_ranges
+                        if (span := _index_span(state.bmp, lo, hi)) is not None
+                    )
                 state.pending_ranges.clear()
         if state.bmp is None:
             if not state.classify_done and has_payload:
@@ -317,14 +460,7 @@ class Interceptor:
                 # remember what we may have missed.
                 state.pending_ranges.append((start, end))
             return frame
-        new_frame, written = _embed(frame, state, self.policy)
-        if written:
-            state.carrier_bits += len(written)
-            if state.skipped:
-                state.skipped.difference_update(written)
-            if new_frame is not frame:
-                state.frames_modified += 1
-        return new_frame
+        return embed_in_frame(frame, state, self.policy)
 
     def tap(self, frame: EthernetFrame, direction: str, t_ns: int) -> EthernetFrame:
         """Adapter matching the simulator's in-flight hook signature."""
@@ -337,7 +473,7 @@ class Interceptor:
                 frames_seen=state.frames_seen,
                 frames_modified=state.frames_modified,
                 carrier_bits=state.carrier_bits,
-                skipped_bits=len(state.skipped),
+                skipped_bits=sum(len(self.policy.chosen(lo, hi)) for lo, hi in state.skipped),
             )
             for key, state in self.flows.items()
         ]
@@ -382,15 +518,18 @@ def report_csv(reports: Sequence[FlowReport]) -> str:
 def extract_from_file(data: bytes, policy: StegoPolicy) -> BitMessage:
     """Read embedded bits back from a reassembled file.
 
-    Walks the same carrier positions the embedder addresses, in carrier
-    index order, honoring the policy's coverage subsampling.  The result
-    holds one bit per selected carrier; compare a prefix against the
-    original message.
+    Reads the same row slices the embedder writes, in carrier index order,
+    honoring the policy's coverage subsampling.  The result holds one bit
+    per selected carrier; compare a prefix against the original message.
     """
     info = parse_bmp_info(data)
     end = min(info.pixel_data_end, len(data))
-    bits = []
-    for pos, index in carrier_offsets(info, info.pixel_offset, end):
-        if policy.selected(index):
-            bits.append(data[pos] & 1)
-    return BitMessage(bits)
+    carriers = b"".join(
+        data[offset:offset + step * count:step]
+        for offset, step, _, count in carrier_slices(info, 0, end)
+    )
+    lsbs = carriers.translate(_LSB)
+    chosen = policy.chosen(0, len(lsbs))
+    if len(chosen) == len(lsbs):
+        return BitMessage(lsbs)
+    return BitMessage(bytes(map(lsbs.__getitem__, chosen)))

@@ -122,3 +122,63 @@ def test_make_bmp_validation():
         make_bmp(5, 5, 16)
     with pytest.raises(ValueError):
         make_bmp(5, 5, 24, pattern="sparkle")
+
+
+def test_compressed_pixel_data_is_not_a_carrier():
+    rle8 = bytearray(make_bmp(4, 4, 8))
+    rle8[30:34] = struct.pack("<I", 1)  # BI_RLE8
+    with pytest.raises(NotBmp):
+        parse_bmp_info(bytes(rle8))
+    bitfields = bytearray(make_bmp(4, 4, 24))
+    bitfields[30:34] = struct.pack("<I", 3)  # BI_BITFIELDS
+    with pytest.raises(NotBmp):
+        parse_bmp_info(bytes(bitfields))
+
+
+def test_pixel_data_past_32_bit_file_size_is_rejected():
+    huge = hand_header(1 << 30, 1 << 30, 24, 54, 54)
+    with pytest.raises(NotBmp):
+        parse_bmp_info(huge)
+    # 1024 pixels at 24 bpp: 3072-byte rows.  The tallest such image whose
+    # pixel data still ends inside 2**32 bytes is accepted, one row more is not.
+    tallest = (0xFFFFFFFF - 54) // 3072
+    assert parse_bmp_info(hand_header(1024, tallest, 24, 54, 54)).pixel_data_end \
+        == 54 + tallest * 3072
+    with pytest.raises(NotBmp):
+        parse_bmp_info(hand_header(1024, tallest + 1, 24, 54, 54))
+
+
+# ---------------------------------------------------------------------------
+# make_bmp against a per-pixel reference
+
+
+def make_bmp_oracle(width, height, bpp, pattern):
+    """Per-pixel reference for make_bmp, packed field by field with struct."""
+    stride = (width * (bpp // 8) + 3) // 4 * 4
+    pixel_offset = 54 + (1024 if bpp == 8 else 0)
+    out = bytearray(hand_header(width, height, bpp, pixel_offset,
+                                pixel_offset + height * stride))
+    if bpp == 8:
+        for i in range(256):
+            out += struct.pack("<BBBB", i, i, i, 0)
+    for y in range(height):
+        row = bytearray()
+        for x in range(width):
+            if pattern == "flat":
+                pixel = (0x80, 0x80, 0x80)
+            else:
+                pixel = (x & 0xFF, y & 0xFF, (x * 7 + y * 13) & 0xFF)
+                if pattern == "even":
+                    pixel = tuple(v & 0xFE for v in pixel)
+            row += bytes(pixel) if bpp == 24 else bytes(pixel[2:])
+        out += row + bytes(stride - len(row))
+    return bytes(out)
+
+
+@pytest.mark.parametrize("pattern", ["gradient", "even", "flat"])
+@pytest.mark.parametrize("bpp", [8, 24])
+def test_make_bmp_matches_per_pixel_reference(bpp, pattern):
+    for width in list(range(1, 10)) + [255, 256, 257, 300]:
+        for height in (1, 2, 3, 20, 300):
+            assert make_bmp(width, height, bpp, pattern) == \
+                make_bmp_oracle(width, height, bpp, pattern), (width, height)

@@ -110,6 +110,38 @@ def test_bitmessage_sequence_protocol():
     assert hash(msg) == hash(BitMessage.from01("1101"))
 
 
+@given(bits_lists, bits_lists)
+def test_bitmessage_conversions_match_per_bit_reference(bits, other_bits):
+    msg, other = BitMessage(bits), BitMessage(other_bits)
+    value = 0
+    for b in bits:
+        value = value * 2 + b
+    assert msg.to_int() == value
+    assert msg.to01() == "".join(map(str, bits))
+    packed = bytearray((len(bits) + 7) // 8)
+    for i, b in enumerate(bits):
+        packed[i // 8] |= b << (7 - i % 8)
+    assert msg.to_bytes() == bytes(packed)
+    assert msg.packed_hex() == bytes(packed).hex()
+    assert msg.bit_errors(other) == sum(a != b for a, b in zip(bits, other_bits))
+    assert list(msg) == bits and bytes(msg) == bytes(bits)
+    assert BitMessage.from01(msg.to01()) == msg
+    assert BitMessage.from_int(value, len(bits)) == msg
+    assert BitMessage.concat([msg, other, msg]) == msg + other + msg
+    if len(bits) % 8 == 0:
+        assert BitMessage.from_bytes(msg.to_bytes()) == msg
+
+
+def test_bitmessage_equality_ignores_construction_route():
+    assert BitMessage([1, 0]) == BitMessage((b for b in (1, 0))) == BitMessage(b"\x01\x00")
+    assert BitMessage([True, False]) == BitMessage("10") == BitMessage.from01("10")
+    assert BitMessage([1, 0]) != BitMessage([1, 0, 0])
+    assert BitMessage([1]) != (1,) and BitMessage() == BitMessage(b"")
+    for bad in ([2], [-1], [256], b"\x02", "2"):
+        with pytest.raises(ValueError):
+            BitMessage(bad)
+
+
 def test_bitmessage_random_is_seed_deterministic():
     assert BitMessage.random(64, 42) == BitMessage.random(64, 42)
     assert BitMessage.random(64, 42) != BitMessage.random(64, 43)

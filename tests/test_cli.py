@@ -8,6 +8,7 @@ CLI as a separate process: the ``stegctl`` target declared in
 ``stegctl`` script on PATH.
 """
 
+import hashlib
 import shutil
 import subprocess
 import sys
@@ -190,6 +191,29 @@ def test_transfer_writes_artifacts_and_matches(capsys, tmp_path):
     extracted = (tmp_path / "extracted.hex").read_text().strip()
     assert extracted == policy.source_bits(16 * 8).packed_hex()
     assert extract_from_file(received, policy) == policy.source_bits(16 * 8)
+
+
+GOLDEN_TRANSFER_SHA256_PREFIXES = {
+    "direct.pcap": "560e8c23aad3720a",
+    "stego.pcap": "4c532d6a5dc0551c",
+    "received.bmp": "cfa1148a5187345e",
+    "report.csv": "6b928d8cc1752d6a",
+    "tap_report.csv": "5a1fffb76a5d5799",
+}
+
+
+def test_transfer_golden_hashes(capsys, tmp_path):
+    """The reference run's artifacts are byte-identical to the recorded ones."""
+    code, out, _ = run(
+        ["transfer", "--seed", 7, "--width", 96, "--height", 64,
+         "--message", "feedc0de", "--out-dir", tmp_path], capsys,
+    )
+    assert code == 0 and "MATCH" in out
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+        for name in GOLDEN_TRANSFER_SHA256_PREFIXES
+    }
+    assert got == GOLDEN_TRANSFER_SHA256_PREFIXES
 
 
 def test_transfer_same_seed_is_byte_identical(capsys, tmp_path):

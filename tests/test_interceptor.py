@@ -8,8 +8,10 @@ segmentation, arrival order, and retransmission pattern.
 """
 
 import random
+import struct
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from netsteglab.bmp import BmpInfo, UnsupportedBpp, make_bmp, parse_bmp_info
 from netsteglab.channels import BitMessage
@@ -19,6 +21,7 @@ from netsteglab.interceptor import (
     Interceptor,
     StegoPolicy,
     carrier_offsets,
+    carrier_slices,
     classify_payload,
     embed_in_frame,
     extract_from_file,
@@ -511,6 +514,183 @@ def test_report_csv_shape():
     assert lines[1].startswith("10.0.0.1:40000->10.0.0.2:8080,")
 
 
+def test_process_stream_passes_compressed_bmp_flows_untouched():
+    data = bytearray(make_bmp(6, 4, 8))
+    data[30:34] = struct.pack("<I", 1)  # BI_RLE8: the pixel bytes are a code stream
+    frames = segmented_frames(bytes(data), 40)
+    outputs, [report] = process_stream(frames, MSG)
+    assert all(out is frame for out, frame in zip(outputs, frames))
+    assert report.carrier_bits == 0 and report.frames_modified == 0
+
+
 def test_flow_key_rendering():
     key = FlowKey(ipv4("192.168.1.2"), ipv4("10.9.8.7"), 1234, 80)
     assert str(key) == "192.168.1.2:1234->10.9.8.7:80"
+
+
+# ---------------------------------------------------------------------------
+# the row-slice engine against the per-index oracle
+#
+# Inputs: 8 and 24 bpp at widths 1-9 (every row-padding case), pixel bytes
+# with random LSBs, stream ranges that start anywhere (mid-pixel, inside
+# padding, inside the header), messages of 1-17 bits, keystreams, and the
+# coverages below.  Tall images (470 rows) at width 9 hold more than 4096
+# carriers, so a keystream crosses a block boundary inside them; explicit
+# examples pin that case.
+
+COVERAGES = [1.0, 0.5, 1 / 3, 0.3, 0.7, 0.999, 0.001]
+BASE_SEQ = 0x10000001
+
+
+@st.composite
+def policies(draw):
+    coverage = draw(st.sampled_from(COVERAGES))
+    if draw(st.booleans()):
+        bits = draw(st.lists(st.integers(0, 1), min_size=1, max_size=17))
+        return StegoPolicy(message=BitMessage(bits), coverage=coverage)
+    return StegoPolicy(keystream_seed=draw(st.integers(0, 1 << 16)), coverage=coverage)
+
+
+@st.composite
+def images(draw, tall=True):
+    bpp = draw(st.sampled_from([8, 24]))
+    width = draw(st.integers(1, 9))
+    height = draw(st.one_of(st.integers(1, 6), st.just(470)) if tall else st.integers(1, 6))
+    data = bytearray(make_bmp(width, height, bpp))
+    offset = parse_bmp_info(data).pixel_offset
+    noise = random.Random(draw(st.integers(0, 1 << 32)))
+    data[offset:] = noise.randbytes(len(data) - offset)
+    return bytes(data)
+
+
+@st.composite
+def windows(draw):
+    """An image and a stream range [start, end) over it, up to 2 bytes past the end."""
+    data = draw(images())
+    start = draw(st.integers(0, len(data)))
+    end = draw(st.integers(start, min(len(data) + 2, start + 700)))
+    return data, start, end
+
+
+# carriers 4092..4103 of a 9x470 8-bpp image: the keystream steps from block 0 to 1
+TALL = make_bmp(9, 470, 8)
+BLOCK_EDGE = (TALL, 1078 + 454 * 12 + 6, 1078 + 455 * 12 + 9)
+
+
+def oracle_chunk(data, start, end, policy):
+    """The range's bytes after embedding, one carrier at a time."""
+    out = bytearray(data[start:end])
+    count = 0
+    for pos, index in carrier_offsets(parse_bmp_info(data), start, end):
+        if policy.selected(index):
+            out[pos - start] = out[pos - start] & 0xFE | policy.bit_at(index)
+            count += 1
+    return bytes(out), count
+
+
+@given(window=windows(), policy=policies())
+@example(window=BLOCK_EDGE, policy=StegoPolicy(keystream_seed=3))
+@example(window=BLOCK_EDGE, policy=StegoPolicy(keystream_seed=3, coverage=0.999))
+def test_embed_in_frame_matches_per_index_oracle(window, policy):
+    data, start, end = window
+    chunk = data[start:end]
+    state = FlowState(base_seq=BASE_SEQ, bmp=parse_bmp_info(data))
+    frame = data_frame(start, chunk)
+    out = embed_in_frame(frame, state, policy)
+    expected, count = oracle_chunk(data, start, end, policy)
+    assert out.tcp_payload == expected
+    assert (out is frame) == (expected == chunk)
+    assert state.carrier_bits == count
+    assert state.frames_modified == (expected != chunk)
+    assert tcp_checksum_ok(out)
+
+
+@given(window=windows())
+def test_carrier_slices_match_carrier_offsets(window):
+    data, start, end = window
+    info = parse_bmp_info(data)
+    from_slices = []
+    for offset, step, first, count in carrier_slices(info, start, end):
+        assert count > 0
+        from_slices += [(start + offset + step * k, first + k) for k in range(count)]
+    assert from_slices == carrier_offsets(info, start, end)
+
+
+@given(window=windows(), policy=policies())
+@example(window=(TALL, 0, len(TALL)), policy=StegoPolicy(keystream_seed=3, coverage=1 / 3))
+def test_extract_from_file_matches_per_index_oracle(window, policy):
+    data, _, end = window
+    data = data[:max(end, 54)]  # a file cut short anywhere past its header
+    info = parse_bmp_info(data)
+    stop = min(info.pixel_data_end, len(data))
+    expected = [
+        data[pos] & 1
+        for pos, index in carrier_offsets(info, info.pixel_offset, stop)
+        if policy.selected(index)
+    ]
+    assert extract_from_file(data, policy) == BitMessage(expected)
+
+
+@given(
+    policy=policies(),
+    lo=st.one_of(st.integers(0, 3 * 4096), st.integers(4096 - 300, 4096)),
+    n=st.integers(0, 400),
+)
+@example(policy=StegoPolicy(keystream_seed=1), lo=4000, n=9000)
+def test_policy_bits_match_source_bit(policy, lo, n):
+    assert policy.bits(lo, lo + n) == bytes(policy.source_bit(j) for j in range(lo, lo + n))
+
+
+@given(policy=policies(), lo=st.integers(0, 1 << 40), n=st.integers(0, 600))
+@example(policy=StegoPolicy(keystream_seed=0, coverage=1 - 2 ** -53), lo=1 << 52, n=600)
+def test_policy_selection_matches_selected_and_bit_at(policy, lo, n):
+    chosen, bits = policy.selection(lo, lo + n)
+    expected = [i for i in range(lo, lo + n) if policy.selected(i)]
+    assert list(chosen) == list(policy.chosen(lo, lo + n)) == expected
+    assert bits == bytes(policy.bit_at(i) for i in expected)
+
+
+@given(
+    data=images(tall=False),
+    policy=policies(),
+    mss=st.integers(1, 200),
+    early=st.lists(st.tuples(st.integers(1, 200), st.integers(0, 1 << 20)), max_size=4),
+    late=st.lists(st.integers(0, 1 << 20), max_size=6),
+)
+# stream bytes [120, 150) resent inside the pending [100, 200)
+@example(data=make_bmp(9, 6, 24), policy=MSG, mss=100, early=[(30, 2)], late=[])
+def test_skipped_and_carrier_bits_match_set_semantics_when_header_arrives_last(
+    data, policy, mss, early, late
+):
+    frames = segmented_frames(data, mss)
+    header = [f for f in frames[1:] if f.tcp.seq - BASE_SEQ < 54]
+    rest = [f for f in frames[1:] if f.tcp.seq - BASE_SEQ >= 54]
+    # Before the header completes, resegmented retransmits overlap and nest.
+    resent = []
+    for other_mss, k in early:
+        other = segmented_frames(data, other_mss, with_syn=False)
+        other = [f for f in other if f.tcp.seq - BASE_SEQ >= 54]
+        resent += [other[k % len(other)]] if other else []
+    order = [frames[0]] + rest + resent + header + [rest[k % len(rest)] for k in late if rest]
+    interceptor = Interceptor(policy)
+    for frame in order:
+        interceptor.process(frame)
+    # What the tap reported when it kept one set entry per skipped bit.
+    info = parse_bmp_info(data)
+    skipped, written, headers_seen = set(), 0, 0
+    for frame in order[1:]:
+        start = frame.tcp.seq - BASE_SEQ
+        headers_seen += start < 54
+        chosen = {
+            index
+            for _, index in carrier_offsets(info, start, start + len(frame.tcp_payload))
+            if policy.selected(index)
+        }
+        if headers_seen < len(header):
+            skipped |= chosen
+        else:
+            skipped -= chosen
+            written += len(chosen)
+    [report] = interceptor.flow_reports()
+    assert report.skipped_bits == len(skipped)
+    assert report.carrier_bits == written
