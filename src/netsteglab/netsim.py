@@ -31,6 +31,7 @@ from .wirecodec import (
     TCP_SYN,
     build_tcp_frame,
     fcs_ok,
+    ipv4,
     ns_to_pcap_ts,
     strip_fcs,
     tcp_checksum_ok,
@@ -40,8 +41,8 @@ from .wirecodec import (
 
 CLIENT_MAC = b"\x02\x00\x00\x00\x00\x01"
 SERVER_MAC = b"\x02\x00\x00\x00\x00\x02"
-CLIENT_IP = "10.0.0.1"
-SERVER_IP = "10.0.0.2"
+CLIENT_IP = ipv4("10.0.0.1")
+SERVER_IP = ipv4("10.0.0.2")
 CLIENT_PORT = 40000
 SERVER_PORT = 8080
 

@@ -5,18 +5,24 @@ checksum, the IEEE CRC-32 frame check sequence, and classic pcap files.
 Everything round-trips: ``parse_frame(data).emit() == data`` for any frame
 this module accepts, and a pcap read here and written back is byte-identical.
 
-Frames are immutable value objects.  Mutation happens through the
-``with_*`` helpers, which splice new header/payload bytes in and keep the
-affected checksums (and the FCS, when the frame carries one) consistent.
+A frame is its bytes: ``EthernetFrame.payload`` is authoritative, ``ip``
+and ``tcp`` are immutable views of it, and checksums are summed over it
+with the checksum field sliced out.  The ``with_*`` helpers splice bytes
+in, repair the checksums (and the FCS, when carried) and carry the views
+over, reparsing only when a changed field decides what the views are.
+
+Values are validated once, at the edge: the public constructors and the
+arguments of :func:`build_tcp_frame` and :func:`with_ip_fields` raise
+``ValueError`` when out of range.  Parsed fields and internal copies are in
+range by construction and skip the checks.  Malformed bytes raise
+:class:`WireError` subclasses only.
 """
 
 from __future__ import annotations
 
 import struct
-import sys
 import zlib
-from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import BinaryIO, Union
 
 ETHERTYPE_IPV4 = 0x0800
@@ -41,6 +47,15 @@ TCP_CWR = 0x080
 TCP_NS = 0x100
 
 SEQ_MOD = 1 << 32
+
+_ETH = struct.Struct("!6s6sH")
+_IPV4 = struct.Struct("!BBHHHBBHII")
+_TCP = struct.Struct("!HHIIHHHH")
+_PSEUDO = struct.Struct("!IIxBH")  # src, dst, zero byte, protocol, TCP length
+_U16 = struct.Struct("!H")
+_FCS = struct.Struct("<I")
+_IP_CHECKSUM_AT = 10
+_TCP_CHECKSUM_AT = 16
 
 
 class WireError(Exception):
@@ -67,6 +82,10 @@ class TruncatedRecord(WireError):
     """pcap record header or body ends before its declared length."""
 
 
+class BadTimestamp(WireError):
+    """pcap record carries a microseconds field of 1,000,000 or more."""
+
+
 # ---------------------------------------------------------------------------
 # checksums
 
@@ -74,20 +93,19 @@ class TruncatedRecord(WireError):
 def internet_checksum(data: bytes) -> int:
     """One's-complement checksum over 16-bit big-endian words (RFC 1071).
 
-    Odd-length input is padded with a virtual zero byte.  The words are
-    summed in native order for speed and the result is byte-swapped at the
-    end on little-endian hosts; one's-complement addition commutes with the
-    swap, so the value equals the big-endian word-loop definition.
+    Odd-length input is padded with a virtual zero byte.  Since
+    2^16 ≡ 1 (mod 0xFFFF), the data read as one big-endian integer is
+    congruent to the sum of its words, and the end-around-carry sum is that
+    residue, except that residue 0 is 0x0000 only for all-zero data and
+    0xFFFF (one's-complement negative zero) for any other.
     """
+    value = int.from_bytes(data, "big")
     if len(data) & 1:
-        data = bytes(data) + b"\x00"
-    total = sum(array("H", bytes(data)))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    total = ~total & 0xFFFF
-    if sys.byteorder == "little":
-        total = ((total << 8) | (total >> 8)) & 0xFFFF
-    return total
+        value <<= 8
+    folded = value % 0xFFFF
+    if folded:
+        return 0xFFFF - folded
+    return 0 if value else 0xFFFF
 
 
 def fcs32(data: bytes) -> int:
@@ -102,6 +120,45 @@ def fcs32(data: bytes) -> int:
 def _check_range(name: str, value: int, bits: int) -> None:
     if not 0 <= value < (1 << bits):
         raise ValueError(f"{name} out of range for {bits} bits: {value!r}")
+
+
+def _unchecked(cls, **fields):
+    """``cls(**fields)`` without ``__post_init__``, for fields in range by
+    construction; every field must be given."""
+    new = object.__new__(cls)
+    # From items(), not a dict: merging a dict into the empty instance dict
+    # clones it and drops the key table shared with the class (twice the size).
+    new.__dict__.update(fields.items())
+    return new
+
+
+def _copy(obj, **changes):
+    """``dataclasses.replace`` without ``__post_init__``."""
+    return _unchecked(type(obj), **{**obj.__dict__, **changes})
+
+
+def _check_fields(obj, widths: dict) -> None:
+    """``_check_range`` over every field named in ``widths``."""
+    for name, bits in widths.items():
+        value = getattr(obj, name)
+        if not 0 <= value < 1 << bits:
+            _check_range(name, value, bits)
+
+
+def _put16(data: bytes, at: int, value: int) -> bytes:
+    """``data`` with the big-endian 16-bit word at ``at`` set to ``value``."""
+    return data[:at] + _U16.pack(value) + data[at + 2:]
+
+
+_IPV4_BITS = {
+    "version": 4, "ihl": 4, "tos": 8, "total_length": 16, "identification": 16,
+    "flags": 3, "frag_offset": 13, "ttl": 8, "protocol": 8, "header_checksum": 16,
+    "src_ip": 32, "dst_ip": 32,
+}
+_TCP_BITS = {
+    "src_port": 16, "dst_port": 16, "seq": 32, "ack": 32, "data_offset": 4,
+    "flags": 9, "window": 16, "checksum": 16, "urgent_ptr": 16, "reserved": 3,
+}
 
 
 @dataclass(frozen=True)
@@ -123,18 +180,7 @@ class Ipv4Header:
     options: bytes = b""
 
     def __post_init__(self) -> None:
-        _check_range("version", self.version, 4)
-        _check_range("ihl", self.ihl, 4)
-        _check_range("tos", self.tos, 8)
-        _check_range("total_length", self.total_length, 16)
-        _check_range("identification", self.identification, 16)
-        _check_range("flags", self.flags, 3)
-        _check_range("frag_offset", self.frag_offset, 13)
-        _check_range("ttl", self.ttl, 8)
-        _check_range("protocol", self.protocol, 8)
-        _check_range("header_checksum", self.header_checksum, 16)
-        _check_range("src_ip", self.src_ip, 32)
-        _check_range("dst_ip", self.dst_ip, 32)
+        _check_fields(self, _IPV4_BITS)
         if self.ihl < 5:
             raise ValueError(f"ihl below minimum header size: {self.ihl}")
         if len(self.options) != (self.ihl - 5) * 4:
@@ -145,20 +191,11 @@ class Ipv4Header:
         return self.ihl * 4
 
     def emit(self) -> bytes:
-        head = struct.pack(
-            "!BBHHHBBHII",
-            (self.version << 4) | self.ihl,
-            self.tos,
-            self.total_length,
-            self.identification,
-            (self.flags << 13) | self.frag_offset,
-            self.ttl,
-            self.protocol,
-            self.header_checksum,
-            self.src_ip,
-            self.dst_ip,
-        )
-        return head + self.options
+        return _IPV4.pack(
+            (self.version << 4) | self.ihl, self.tos, self.total_length,
+            self.identification, (self.flags << 13) | self.frag_offset, self.ttl,
+            self.protocol, self.header_checksum, self.src_ip, self.dst_ip,
+        ) + self.options
 
 
 @dataclass(frozen=True)
@@ -178,16 +215,7 @@ class TcpHeader:
     reserved: int = 0   # 3 bits between data_offset and NS, normally zero
 
     def __post_init__(self) -> None:
-        _check_range("src_port", self.src_port, 16)
-        _check_range("dst_port", self.dst_port, 16)
-        _check_range("seq", self.seq, 32)
-        _check_range("ack", self.ack, 32)
-        _check_range("data_offset", self.data_offset, 4)
-        _check_range("flags", self.flags, 9)
-        _check_range("window", self.window, 16)
-        _check_range("checksum", self.checksum, 16)
-        _check_range("urgent_ptr", self.urgent_ptr, 16)
-        _check_range("reserved", self.reserved, 3)
+        _check_fields(self, _TCP_BITS)
         if self.data_offset < 5:
             raise ValueError(f"data_offset below minimum: {self.data_offset}")
         if len(self.options) != (self.data_offset - 5) * 4:
@@ -198,18 +226,11 @@ class TcpHeader:
         return self.data_offset * 4
 
     def emit(self) -> bytes:
-        head = struct.pack(
-            "!HHIIHHHH",
-            self.src_port,
-            self.dst_port,
-            self.seq,
-            self.ack,
+        return _TCP.pack(
+            self.src_port, self.dst_port, self.seq, self.ack,
             (self.data_offset << 12) | (self.reserved << 9) | self.flags,
-            self.window,
-            self.checksum,
-            self.urgent_ptr,
-        )
-        return head + self.options
+            self.window, self.checksum, self.urgent_ptr,
+        ) + self.options
 
 
 @dataclass(frozen=True)
@@ -261,41 +282,14 @@ class EthernetFrame:
         return self.payload[self.ip.total_length:]
 
     def emit(self) -> bytes:
-        head = struct.pack("!6s6sH", self.dst_mac, self.src_mac, self.ethertype)
+        head = _ETH.pack(self.dst_mac, self.src_mac, self.ethertype)
         if self.fcs is None:
             return head + self.payload
-        return head + self.payload + struct.pack("<I", self.fcs)
+        return head + self.payload + _FCS.pack(self.fcs)
 
 
 # ---------------------------------------------------------------------------
 # parsing
-
-
-def _parse_tcp(segment: bytes) -> TcpHeader:
-    if len(segment) < TCP_MIN_HEADER:
-        raise TruncatedFrame("TCP header shorter than 20 bytes")
-    sport, dport, seq, ack, off_bits, window, cksum, urg = struct.unpack(
-        "!HHIIHHHH", segment[:TCP_MIN_HEADER]
-    )
-    data_offset = off_bits >> 12
-    if data_offset < 5:
-        raise TruncatedFrame(f"TCP data offset below minimum: {data_offset}")
-    header_len = data_offset * 4
-    if header_len > len(segment):
-        raise TruncatedFrame("TCP data offset beyond segment end")
-    return TcpHeader(
-        src_port=sport,
-        dst_port=dport,
-        seq=seq,
-        ack=ack,
-        data_offset=data_offset,
-        flags=off_bits & 0x1FF,
-        window=window,
-        checksum=cksum,
-        urgent_ptr=urg,
-        options=segment[TCP_MIN_HEADER:header_len],
-        reserved=(off_bits >> 9) & 0x7,
-    )
 
 
 def _parse_ip_layers(payload: bytes):
@@ -303,7 +297,7 @@ def _parse_ip_layers(payload: bytes):
     if len(payload) < IPV4_MIN_HEADER:
         raise TruncatedFrame("IPv4 header shorter than 20 bytes")
     (vi, tos, total_length, ident, flags_frag, ttl, proto, cksum,
-     src, dst) = struct.unpack("!BBHHHBBHII", payload[:IPV4_MIN_HEADER])
+     src, dst) = _IPV4.unpack_from(payload)
     version = vi >> 4
     if version != 4:
         raise BadVersion(f"IP version {version}, expected 4")
@@ -317,25 +311,34 @@ def _parse_ip_layers(payload: bytes):
         raise TruncatedFrame("IPv4 total length below header length")
     if total_length > len(payload):
         raise TruncatedFrame("IPv4 total length beyond captured bytes")
-    ip = Ipv4Header(
-        version=version,
-        ihl=ihl,
-        tos=tos,
-        total_length=total_length,
-        identification=ident,
-        flags=flags_frag >> 13,
-        frag_offset=flags_frag & 0x1FFF,
-        ttl=ttl,
-        protocol=proto,
-        header_checksum=cksum,
-        src_ip=src,
-        dst_ip=dst,
+    flags, frag_offset = flags_frag >> 13, flags_frag & 0x1FFF
+    ip = _unchecked(
+        Ipv4Header, version=version, ihl=ihl, tos=tos, total_length=total_length,
+        identification=ident, flags=flags, frag_offset=frag_offset, ttl=ttl,
+        protocol=proto, header_checksum=cksum, src_ip=src, dst_ip=dst,
         options=payload[IPV4_MIN_HEADER:header_len],
     )
-    tcp = None
     # Only an unfragmented datagram carries a parseable TCP header.
-    if proto == PROTO_TCP and ip.frag_offset == 0 and not (ip.flags & IP_FLAG_MF):
-        tcp = _parse_tcp(payload[header_len:total_length])
+    if proto != PROTO_TCP or frag_offset or flags & IP_FLAG_MF:
+        return ip, None
+    if total_length - header_len < TCP_MIN_HEADER:
+        raise TruncatedFrame("TCP header shorter than 20 bytes")
+    sport, dport, seq, ack, off_bits, window, tcp_cksum, urg = _TCP.unpack_from(
+        payload, header_len
+    )
+    data_offset = off_bits >> 12
+    if data_offset < 5:
+        raise TruncatedFrame(f"TCP data offset below minimum: {data_offset}")
+    options_end = header_len + data_offset * 4
+    if options_end > total_length:
+        raise TruncatedFrame("TCP data offset beyond segment end")
+    tcp = _unchecked(
+        TcpHeader, src_port=sport, dst_port=dport, seq=seq, ack=ack,
+        data_offset=data_offset, flags=off_bits & 0x1FF, window=window,
+        checksum=tcp_cksum, urgent_ptr=urg,
+        options=payload[header_len + TCP_MIN_HEADER:options_end],
+        reserved=(off_bits >> 9) & 0x7,
+    )
     return ip, tcp
 
 
@@ -346,28 +349,24 @@ def parse_frame(data: bytes, has_fcs: bool = False) -> EthernetFrame:
     little-endian FCS.  The stored FCS is taken verbatim (use
     :func:`fcs_ok` to validate it), so parse/emit round-trips exactly.
     """
-    fcs = None
     body = bytes(data)
+    end = len(body)
+    fcs = None
     if has_fcs:
-        if len(body) < ETH_HEADER_LEN + 4:
+        if end < ETH_HEADER_LEN + 4:
             raise TruncatedFrame("frame too short to carry an FCS")
-        fcs = struct.unpack("<I", body[-4:])[0]
-        body = body[:-4]
-    if len(body) < ETH_HEADER_LEN:
+        end -= 4
+        (fcs,) = _FCS.unpack_from(body, end)
+    if end < ETH_HEADER_LEN:
         raise TruncatedFrame("frame shorter than the Ethernet header")
-    dst_mac, src_mac, ethertype = struct.unpack_from("!6s6sH", body)
-    payload = body[ETH_HEADER_LEN:]
+    dst_mac, src_mac, ethertype = _ETH.unpack_from(body)
+    payload = body[ETH_HEADER_LEN:end]
     ip = tcp = None
     if ethertype == ETHERTYPE_IPV4:
         ip, tcp = _parse_ip_layers(payload)
-    return EthernetFrame(
-        dst_mac=dst_mac,
-        src_mac=src_mac,
-        ethertype=ethertype,
-        payload=payload,
-        fcs=fcs,
-        ip=ip,
-        tcp=tcp,
+    return _unchecked(
+        EthernetFrame, dst_mac=dst_mac, src_mac=src_mac, ethertype=ethertype,
+        payload=payload, fcs=fcs, ip=ip, tcp=tcp,
     )
 
 
@@ -375,25 +374,40 @@ def parse_frame(data: bytes, has_fcs: bool = False) -> EthernetFrame:
 # checksum plumbing and mutation helpers
 
 
+def _ip_sum(header: bytes) -> int:
+    # Leaving out the aligned checksum word sums the same as zeroing it.
+    return internet_checksum(header[:_IP_CHECKSUM_AT] + header[_IP_CHECKSUM_AT + 2:])
+
+
+def _tcp_sum(ip: Ipv4Header, header: bytes, payload: bytes) -> int:
+    """TCP checksum over the pseudo-header, ``header`` without its checksum
+    word, and ``payload``."""
+    pseudo = _PSEUDO.pack(ip.src_ip, ip.dst_ip, ip.protocol, len(header) + len(payload))
+    return internet_checksum(
+        pseudo + header[:_TCP_CHECKSUM_AT] + header[_TCP_CHECKSUM_AT + 2:] + payload
+    )
+
+
+def _fcs(dst_mac: bytes, src_mac: bytes, ethertype: int, payload: bytes) -> int:
+    return fcs32(_ETH.pack(dst_mac, src_mac, ethertype) + payload)
+
+
 def ipv4_checksum(ip: Ipv4Header) -> int:
     """Header checksum value for ``ip`` (checksum field treated as zero)."""
-    return internet_checksum(replace(ip, header_checksum=0).emit())
+    return _ip_sum(ip.emit())
 
 
 def tcp_checksum(ip: Ipv4Header, tcp: TcpHeader, payload: bytes) -> int:
     """TCP checksum over the pseudo-header, TCP header and payload."""
-    header = replace(tcp, checksum=0).emit()
-    pseudo = struct.pack(
-        "!IIBBH", ip.src_ip, ip.dst_ip, 0, ip.protocol, len(header) + len(payload)
-    )
-    return internet_checksum(pseudo + header + payload)
+    return _tcp_sum(ip, tcp.emit(), payload)
 
 
 def ipv4_checksum_ok(frame: EthernetFrame) -> bool:
     """Verify the IPv4 header checksum; vacuously true without an IP layer."""
-    if frame.ip is None:
+    ip = frame.ip
+    if ip is None:
         return True
-    return ipv4_checksum(frame.ip) == frame.ip.header_checksum
+    return _ip_sum(frame.payload[:ip.header_len]) == ip.header_checksum
 
 
 def tcp_checksum_ok(frame: EthernetFrame) -> bool:
@@ -402,77 +416,77 @@ def tcp_checksum_ok(frame: EthernetFrame) -> bool:
     Frames whose covert fields mark them as fragments lose the TCP view by
     design — there is then no reassembled segment to checksum.
     """
-    if frame.ip is None or frame.tcp is None:
+    ip, tcp = frame.ip, frame.tcp
+    if ip is None or tcp is None:
         return True
-    return tcp_checksum(frame.ip, frame.tcp, frame.tcp_payload) == frame.tcp.checksum
+    start = ip.header_len
+    data = start + tcp.header_len
+    l2 = frame.payload
+    return _tcp_sum(ip, l2[start:data], l2[data:ip.total_length]) == tcp.checksum
 
 
 def fcs_ok(frame: EthernetFrame) -> bool:
     """Verify the FCS when carried; frames without one have nothing to fail."""
     if frame.fcs is None:
         return True
-    head = struct.pack("!6s6sH", frame.dst_mac, frame.src_mac, frame.ethertype)
-    return fcs32(head + frame.payload) == frame.fcs
+    return _fcs(frame.dst_mac, frame.src_mac, frame.ethertype, frame.payload) == frame.fcs
 
 
-def _with_l2_payload(frame: EthernetFrame, payload: bytes) -> EthernetFrame:
-    """New frame with ``payload`` spliced in; views reparsed, FCS recomputed."""
-    ip = tcp = None
-    if frame.ethertype == ETHERTYPE_IPV4:
-        ip, tcp = _parse_ip_layers(payload)
-    fcs = None
-    if frame.fcs is not None:
-        head = struct.pack("!6s6sH", frame.dst_mac, frame.src_mac, frame.ethertype)
-        fcs = fcs32(head + payload)
-    return EthernetFrame(
-        dst_mac=frame.dst_mac,
-        src_mac=frame.src_mac,
-        ethertype=frame.ethertype,
-        payload=payload,
-        fcs=fcs,
-        ip=ip,
-        tcp=tcp,
-    )
+def _spliced(frame: EthernetFrame, payload: bytes, ip, tcp) -> EthernetFrame:
+    """Copy of ``frame`` carrying ``payload`` and its views, FCS recomputed."""
+    fcs = frame.fcs
+    if fcs is not None:
+        fcs = _fcs(frame.dst_mac, frame.src_mac, frame.ethertype, payload)
+    return _copy(frame, payload=payload, fcs=fcs, ip=ip, tcp=tcp)
+
+
+# IPv4 fields that decide whether (and where) the TCP view exists.
+_VIEW_FIELDS = frozenset({"version", "flags", "frag_offset", "protocol", "total_length"})
 
 
 def with_ip_fields(frame: EthernetFrame, **fields) -> EthernetFrame:
     """Frame with scalar IPv4 header fields replaced and checksum repaired.
 
     Only fixed-width fields may change (not ``options``/``ihl``), so the
-    header length is stable and everything after it is untouched.
+    header length is stable and everything after it is untouched.  The
+    views are reparsed only when a field in ``_VIEW_FIELDS`` changes.
     """
     if frame.ip is None:
         raise ValueError("frame has no IPv4 layer")
-    if "options" in fields or "ihl" in fields:
-        raise ValueError("header-length-changing fields are not supported")
-    old_len = frame.ip.header_len
-    ip = replace(frame.ip, **fields)
-    ip = replace(ip, header_checksum=ipv4_checksum(ip))
-    return _with_l2_payload(frame, ip.emit() + frame.payload[old_len:])
+    for name, value in fields.items():
+        if name == "ihl" or name not in _IPV4_BITS:
+            raise ValueError(f"{name} is not a scalar field that keeps the header length")
+        _check_range(name, value, _IPV4_BITS[name])
+    ip = _copy(frame.ip, **fields)
+    header = ip.emit()
+    checksum = _ip_sum(header)
+    payload = _put16(header, _IP_CHECKSUM_AT, checksum) + frame.payload[ip.header_len:]
+    if _VIEW_FIELDS.isdisjoint(fields):
+        return _spliced(frame, payload, _copy(ip, header_checksum=checksum), frame.tcp)
+    return _spliced(frame, payload, *_parse_ip_layers(payload))
 
 
 def with_tcp_payload(frame: EthernetFrame, payload: bytes) -> EthernetFrame:
     """Frame with its TCP payload replaced (same length) and checksum repaired."""
-    if frame.ip is None or frame.tcp is None:
+    ip, tcp = frame.ip, frame.tcp
+    if ip is None or tcp is None:
         raise ValueError("frame has no TCP layer")
-    if len(payload) != len(frame.tcp_payload):
+    start = ip.header_len
+    data = start + tcp.header_len
+    end = ip.total_length
+    if len(payload) != end - data:
         raise ValueError("replacement payload must preserve length")
-    tcp = replace(frame.tcp, checksum=0)
-    tcp = replace(tcp, checksum=tcp_checksum(frame.ip, tcp, payload))
-    new_l2 = (
-        frame.payload[:frame.ip.header_len]
-        + tcp.emit()
-        + payload
-        + frame.trailer
-    )
-    return _with_l2_payload(frame, new_l2)
+    old = frame.payload
+    checksum = _tcp_sum(ip, old[start:data], payload)
+    new = _put16(old[:data], start + _TCP_CHECKSUM_AT, checksum) + payload + old[end:]
+    return _spliced(frame, new, ip, _copy(tcp, checksum=checksum))
 
 
 def strip_fcs(frame: EthernetFrame) -> EthernetFrame:
     """Frame without its FCS (captures conventionally store frames bare)."""
     if frame.fcs is None:
         return frame
-    return replace(frame, fcs=None)
+    return _copy(frame, fcs=None)
 
 
 def ipv4(address: Union[str, int]) -> int:
@@ -522,44 +536,27 @@ def build_tcp_frame(
 ) -> EthernetFrame:
     """Assemble a checksummed TCP/IPv4/Ethernet frame from field values."""
     tcp = TcpHeader(
-        src_port=src_port,
-        dst_port=dst_port,
-        seq=seq % SEQ_MOD,
-        ack=ack % SEQ_MOD,
-        data_offset=5,
-        flags=flags,
-        window=window,
-        checksum=0,
-        urgent_ptr=urgent_ptr,
+        src_port=src_port, dst_port=dst_port, seq=seq % SEQ_MOD, ack=ack % SEQ_MOD,
+        data_offset=5, flags=flags, window=window, checksum=0, urgent_ptr=urgent_ptr,
     )
     ip = Ipv4Header(
-        version=4,
-        ihl=5,
-        tos=tos,
-        total_length=IPV4_MIN_HEADER + tcp.header_len + len(payload),
-        identification=ip_id,
-        flags=ip_flags,
-        frag_offset=frag_offset,
-        ttl=ttl,
-        protocol=PROTO_TCP,
-        header_checksum=0,
-        src_ip=ipv4(src_ip),
-        dst_ip=ipv4(dst_ip),
+        version=4, ihl=5, tos=tos,
+        total_length=IPV4_MIN_HEADER + TCP_MIN_HEADER + len(payload),
+        identification=ip_id, flags=ip_flags, frag_offset=frag_offset, ttl=ttl,
+        protocol=PROTO_TCP, header_checksum=0, src_ip=ipv4(src_ip), dst_ip=ipv4(dst_ip),
     )
-    ip = replace(ip, header_checksum=ipv4_checksum(ip))
-    tcp = replace(tcp, checksum=tcp_checksum(ip, tcp, payload))
-    l2_payload = ip.emit() + tcp.emit() + payload
-    fcs = None
-    if with_fcs:
-        fcs = fcs32(struct.pack("!6s6sH", dst_mac, src_mac, ETHERTYPE_IPV4) + l2_payload)
+    ip_header, tcp_header = ip.emit(), tcp.emit()
+    ip_sum = _ip_sum(ip_header)
+    tcp_sum = _tcp_sum(ip, tcp_header, payload)
+    l2_payload = (
+        _put16(ip_header, _IP_CHECKSUM_AT, ip_sum)
+        + _put16(tcp_header, _TCP_CHECKSUM_AT, tcp_sum)
+        + payload
+    )
     return EthernetFrame(
-        dst_mac=dst_mac,
-        src_mac=src_mac,
-        ethertype=ETHERTYPE_IPV4,
-        payload=l2_payload,
-        fcs=fcs,
-        ip=ip,
-        tcp=tcp,
+        dst_mac=dst_mac, src_mac=src_mac, ethertype=ETHERTYPE_IPV4, payload=l2_payload,
+        fcs=_fcs(dst_mac, src_mac, ETHERTYPE_IPV4, l2_payload) if with_fcs else None,
+        ip=_copy(ip, header_checksum=ip_sum), tcp=_copy(tcp, checksum=tcp_sum),
     )
 
 
@@ -623,17 +620,10 @@ def write_pcap(out: Union[str, BinaryIO], pcap) -> None:
         out = open(out, "wb")
         close = True
     try:
-        out.write(
-            _GLOBAL_HEADER.pack(
-                PCAP_MAGIC,
-                PCAP_VERSION[0],
-                PCAP_VERSION[1],
-                pcap.thiszone,
-                pcap.sigfigs,
-                pcap.snaplen,
-                pcap.linktype,
-            )
-        )
+        out.write(_GLOBAL_HEADER.pack(
+            PCAP_MAGIC, *PCAP_VERSION, pcap.thiszone, pcap.sigfigs, pcap.snaplen,
+            pcap.linktype,
+        ))
         for rec in pcap.records:
             out.write(
                 _RECORD_HEADER.pack(rec.ts_sec, rec.ts_usec, rec.incl_len, rec.orig_len)
@@ -680,14 +670,12 @@ def read_pcap(source: Union[str, bytes, BinaryIO]) -> PcapFile:
         offset += record_header.size
         if offset + incl_len > len(data):
             raise TruncatedRecord("record body truncated")
-        records.append(
-            PcapRecord(
-                ts_sec=ts_sec,
-                ts_usec=ts_usec,
-                frame_bytes=data[offset:offset + incl_len],
-                orig_len=orig_len,
-            )
-        )
+        if ts_usec >= 1_000_000:
+            raise BadTimestamp(f"record microseconds {ts_usec} out of range")
+        records.append(_unchecked(
+            PcapRecord, ts_sec=ts_sec, ts_usec=ts_usec,
+            frame_bytes=data[offset:offset + incl_len], orig_len=orig_len,
+        ))
         offset += incl_len
     return PcapFile(
         records=tuple(records),

@@ -694,3 +694,38 @@ def test_skipped_and_carrier_bits_match_set_semantics_when_header_arrives_last(
     [report] = interceptor.flow_reports()
     assert report.skipped_bits == len(skipped)
     assert report.carrier_bits == written
+
+
+@st.composite
+def wrapping_flows(draw):
+    """A BMP, an MSS that puts the whole header in the first segment, and a
+    base sequence number that is arbitrary or within one segment of 2^32."""
+    data = draw(images(tall=False))
+    mss = draw(st.integers(54, 300))
+    base_seq = draw(
+        st.one_of(st.integers(0, SEQ_MOD - 1), st.integers(1, mss).map(lambda k: SEQ_MOD - k))
+    )
+    return data, mss, base_seq
+
+
+@given(flow=wrapping_flows(), policy=policies())
+@example(flow=(make_bmp(9, 6, 24), 60, SEQ_MOD - 30), policy=MSG)
+@example(flow=(make_bmp(9, 6, 8), 54, SEQ_MOD - 54), policy=StegoPolicy(keystream_seed=5))
+def test_tap_keeps_valid_frames_valid_across_sequence_wrap(flow, policy):
+    data, mss, base_seq = flow
+    frames = [syn_frame((base_seq - 1) % SEQ_MOD)] + [
+        data_frame(off, data[off:off + mss], base_seq=base_seq, with_fcs=True)
+        for off in range(0, len(data), mss)
+    ]
+    interceptor = Interceptor(policy)
+    delivered = bytearray()
+    for frame in frames:
+        assert tcp_checksum_ok(frame) and fcs_ok(frame)
+        out = interceptor.process(frame)
+        assert tcp_checksum_ok(out) and fcs_ok(out)
+        if out.tcp_payload:
+            start = (out.tcp.seq - base_seq) % SEQ_MOD
+            expected, _ = oracle_chunk(data, start, start + len(out.tcp_payload), policy)
+            assert out.tcp_payload == expected
+            delivered += out.tcp_payload
+    assert bytes(delivered) == embed_oracle(data, policy)

@@ -13,12 +13,14 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from netsteglab.wirecodec import (
     BadMagic,
     BadVersion,
     EthernetFrame,
+    IP_FLAG_DF,
+    IP_FLAG_MF,
     Ipv4Header,
     PcapFile,
     PcapRecord,
@@ -26,6 +28,7 @@ from netsteglab.wirecodec import (
     TruncatedFrame,
     TruncatedRecord,
     UnsupportedLinktype,
+    WireError,
     build_tcp_frame,
     fcs32,
     fcs_ok,
@@ -104,6 +107,12 @@ def test_checksum_verifies_to_zero_over_checksummed_header():
 
 
 @given(st.binary(max_size=200))
+@example(b"")
+@example(b"\x00" * 6)
+@example(b"\xff")
+@example(b"\xff\xff")
+@example(b"\xff\xff" * 7)
+@example(b"\x80\x00\x80\x00\xff\xfe")  # 0x8000 + 0x8000 carries to 1, + 0xFFFE is 0xFFFF
 def test_checksum_matches_oracle(data):
     assert internet_checksum(data) == checksum_oracle(data)
 
@@ -209,6 +218,53 @@ def test_ipv4_rejects_out_of_range_fields():
             flags=8, frag_offset=0, ttl=64, protocol=6, header_checksum=0,
             src_ip=0, dst_ip=0,
         )
+
+
+def test_tcp_header_and_frame_reject_bad_fields():
+    with pytest.raises(ValueError):
+        TcpHeader(
+            src_port=0, dst_port=0, seq=1 << 32, ack=0, data_offset=5,
+            flags=0, window=0, checksum=0, urgent_ptr=0,
+        )
+    with pytest.raises(ValueError):
+        TcpHeader(
+            src_port=0, dst_port=0, seq=0, ack=0, data_offset=6,
+            flags=0, window=0, checksum=0, urgent_ptr=0,  # options missing
+        )
+    with pytest.raises(ValueError):
+        EthernetFrame(dst_mac=b"\x00" * 6, src_mac=b"\x00" * 5, ethertype=0x0800, payload=b"")
+    with pytest.raises(ValueError):
+        EthernetFrame(
+            dst_mac=b"\x00" * 6, src_mac=b"\x00" * 6, ethertype=0x0800, payload=b"",
+            fcs=1 << 32,
+        )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"src_port": 65536},
+        {"dst_port": -1},
+        {"ttl": 256},
+        {"window": -1},
+        {"urgent_ptr": 1 << 16},
+        {"flags": 1 << 9},
+        {"ip_id": 1 << 16},
+        {"ip_flags": 8},
+        {"frag_offset": 1 << 13},
+        {"tos": 256},
+        {"src_ip": "256.0.0.1"},
+        {"dst_ip": 1 << 32},
+        {"src_mac": b"\x02\x00\x00\x00\x01"},
+        {"dst_mac": b"\x02\x00\x00\x00\x00\x00\x02", "with_fcs": True},
+        {"payload": bytes(65536 - 40)},  # total length past 16 bits
+    ],
+)
+def test_build_tcp_frame_rejects_out_of_range_arguments(bad):
+    args = dict(src_ip="1.1.1.1", dst_ip="2.2.2.2", src_port=1, dst_port=2, seq=0)
+    args.update(bad)
+    with pytest.raises(ValueError):
+        build_tcp_frame(**args)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +409,61 @@ def test_corrupted_frame_fails_verification():
     assert not fcs_ok(corrupted)
 
 
+def ipv4_checksum_oracle(frame: EthernetFrame) -> int:
+    """Recompute the header checksum from raw bytes with the field zeroed."""
+    header = bytearray(frame.payload[: frame.ip.header_len])
+    header[10:12] = b"\x00\x00"
+    return checksum_oracle(bytes(header))
+
+
+def _zero_sum_frame(rng: random.Random, payload: bytes) -> EthernetFrame:
+    """A frame whose correct IPv4 and TCP checksums are both 0x0000.
+
+    Setting a field word to the checksum computed with that word at zero
+    makes the one's-complement sum 0xFFFF (negative zero), so the new
+    checksum is 0x0000 and a stored 0xFFFF is the other zero.
+    """
+    fields = dict(
+        src_ip=rng.randrange(1 << 32), dst_ip=rng.randrange(1 << 32),
+        src_port=rng.randrange(1 << 16), dst_port=rng.randrange(1 << 16),
+        seq=rng.randrange(1 << 32), payload=payload,
+    )
+    probe = build_tcp_frame(ip_id=0, window=0, **fields)
+    return build_tcp_frame(
+        ip_id=ipv4_checksum_oracle(probe), window=tcp_checksum_oracle(probe), **fields
+    )
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    payload_len=st.integers(0, 41),
+    zero_sum=st.booleans(),
+    stored=st.one_of(st.sampled_from([None, 0x0000, 0xFFFF]), st.integers(0, 0xFFFF)),
+    layer=st.sampled_from(["ip", "tcp"]),
+)
+def test_checksum_verifiers_match_recompute_and_compare_oracle(
+    seed, payload_len, zero_sum, stored, layer
+):
+    rng = random.Random(seed)
+    payload = rng.randbytes(payload_len)  # odd lengths give odd TCP segments
+    if zero_sum:
+        frame = _zero_sum_frame(rng, payload)
+        assert frame.ip.header_checksum == 0 and frame.tcp.checksum == 0
+    else:
+        frame = _random_frame(rng, with_fcs=False, payload=payload)
+    wire = bytearray(frame.emit())
+    if stored is not None:  # None keeps the correct checksum
+        at = 14 + 10 if layer == "ip" else 14 + 20 + 16
+        wire[at:at + 2] = struct.pack("!H", stored)
+    parsed = parse_frame(bytes(wire))
+    # The old verifiers: recompute and compare exactly, so a stored 0xFFFF
+    # fails where 0x0000 is computed even though both are one's-complement zero.
+    assert ipv4_checksum_ok(parsed) == (ipv4_checksum_oracle(parsed) == parsed.ip.header_checksum)
+    assert tcp_checksum_ok(parsed) == (tcp_checksum_oracle(parsed) == parsed.tcp.checksum)
+    if stored is None:
+        assert ipv4_checksum_ok(parsed) and tcp_checksum_ok(parsed)
+
+
 # ---------------------------------------------------------------------------
 # surgical mutators
 
@@ -424,6 +535,68 @@ def test_with_tcp_payload_requires_equal_length():
     )
     with pytest.raises(ValueError):
         with_tcp_payload(frame, b"abcd")
+
+
+# Every scalar IPv4 field with_ip_fields may set, with its width in bits.
+IPV4_SCALAR_BITS = {
+    "version": 4, "tos": 8, "total_length": 16, "identification": 16, "flags": 3,
+    "frag_offset": 13, "ttl": 8, "protocol": 8, "header_checksum": 16,
+    "src_ip": 32, "dst_ip": 32,
+}
+
+
+@st.composite
+def ip_field_changes(draw):
+    name = draw(st.sampled_from(sorted(IPV4_SCALAR_BITS)))
+    return name, draw(st.integers(0, (1 << IPV4_SCALAR_BITS[name]) - 1))
+
+
+def _assert_views_match_parser(frame: EthernetFrame) -> None:
+    assert frame == parse_frame(frame.emit(), has_fcs=frame.fcs is not None)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    with_fcs=st.booleans(),
+    changes=st.lists(ip_field_changes(), min_size=1, max_size=3),
+)
+@example(seed=1, with_fcs=True, changes=[("flags", IP_FLAG_MF), ("flags", IP_FLAG_DF)])
+@example(seed=2, with_fcs=False, changes=[("frag_offset", 5), ("frag_offset", 0)])
+@example(seed=3, with_fcs=True, changes=[("protocol", 17), ("protocol", 6)])
+@example(seed=4, with_fcs=True, changes=[("total_length", 40)])
+def test_mutators_give_the_views_the_parser_gives(seed, with_fcs, changes):
+    rng = random.Random(seed)
+    frame = _random_frame(rng, with_fcs=with_fcs)
+    _assert_views_match_parser(frame)
+    if frame.tcp is not None:
+        spliced = with_tcp_payload(frame, rng.randbytes(len(frame.tcp_payload)))
+        _assert_views_match_parser(spliced)
+        assert tcp_checksum_ok(spliced) and fcs_ok(spliced)
+    for name, value in changes:
+        try:
+            out = with_ip_fields(frame, **{name: value})
+        except WireError:
+            # Only these fields decide whether the bytes still parse.
+            assert name in ("version", "total_length")
+            continue
+        assert getattr(out.ip, name) == value or name == "header_checksum"
+        _assert_views_match_parser(out)
+        assert ipv4_checksum_ok(out) and fcs_ok(out)
+        frame = out
+        if frame.tcp is not None:
+            spliced = with_tcp_payload(frame, rng.randbytes(len(frame.tcp_payload)))
+            _assert_views_match_parser(spliced)
+
+
+def test_with_ip_fields_rejects_out_of_range_values():
+    frame = build_tcp_frame(
+        src_ip="1.1.1.1", dst_ip="2.2.2.2", src_port=1, dst_port=2, seq=0,
+    )
+    for name, bits in IPV4_SCALAR_BITS.items():
+        with pytest.raises(ValueError):
+            with_ip_fields(frame, **{name: 1 << bits})
+        with pytest.raises(ValueError):
+            with_ip_fields(frame, **{name: -1})
 
 
 def test_strip_fcs():
@@ -536,6 +709,16 @@ def test_pcap_truncated_record():
         read_pcap(data[: 24 + 8])  # record header itself cut
 
 
+def test_pcap_timestamp_out_of_range_is_a_wire_error():
+    data = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
+    data += struct.pack("<IIII", 0, 1_000_000, 0, 0)
+    with pytest.raises(WireError):
+        read_pcap(data)
+    # A record built by hand keeps the plain ValueError.
+    with pytest.raises(ValueError):
+        PcapRecord(ts_sec=0, ts_usec=1_000_000, frame_bytes=b"")
+
+
 def test_pcap_file_io(tmp_path):
     path = tmp_path / "t.pcap"
     frames = _sample_frames()
@@ -551,3 +734,91 @@ def test_ns_to_pcap_ts():
     assert ns_to_pcap_ts(0) == (0, 0)
     assert ns_to_pcap_ts(1_500_000_000) == (1, 500_000)
     assert ns_to_pcap_ts(999) == (0, 0)  # sub-microsecond truncates
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: malformed bytes raise only WireError
+
+flips = st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(1, 255)), max_size=6)
+cuts = st.one_of(st.none(), st.integers(0, 1 << 16))
+
+
+def _mutate(data: bytes, flipped, cut) -> bytes:
+    """XOR the given bytes (positions wrap) and optionally truncate."""
+    out = bytearray(data)
+    for at, mask in flipped:
+        if out:
+            out[at % len(out)] ^= mask
+    if cut is not None:
+        del out[cut % (len(out) + 1):]
+    return bytes(out)
+
+
+def _parsed_or_none(data: bytes, has_fcs: bool):
+    try:
+        frame = parse_frame(data, has_fcs=has_fcs)
+    except WireError:
+        return None
+    assert frame.emit() == data
+    # Verifiers and views work on whatever the parser accepted.
+    assert all(isinstance(ok(frame), bool) for ok in (ipv4_checksum_ok, tcp_checksum_ok, fcs_ok))
+    if frame.ip is not None:
+        header = frame.payload[: frame.ip.header_len]
+        assert header + frame.ip_payload + frame.trailer == frame.payload
+        assert frame.ip_payload.endswith(frame.tcp_payload)
+    return frame
+
+
+@given(st.binary(max_size=200), st.booleans())
+def test_parse_frame_on_arbitrary_bytes_raises_only_wire_error(data, has_fcs):
+    _parsed_or_none(data, has_fcs)
+
+
+@given(st.integers(0, 10_000), st.booleans(), st.booleans(), flips, cuts)
+def test_parse_frame_on_mutated_frames_raises_only_wire_error(
+    seed, with_fcs, has_fcs, flipped, cut
+):
+    frame = _random_frame(random.Random(seed), with_fcs=with_fcs)
+    parsed = _parsed_or_none(_mutate(frame.emit(), flipped, cut), has_fcs)
+    if parsed is not None and parsed.tcp is not None:
+        # The mutators keep foreign-looking frames consistent with the parser.
+        spliced = with_tcp_payload(parsed, bytes(len(parsed.tcp_payload)))
+        assert spliced == parse_frame(spliced.emit(), has_fcs=has_fcs)
+        assert tcp_checksum_ok(spliced) and fcs_ok(spliced)
+
+
+PCAP_LE_HEADER = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
+PCAP_BE_HEADER = struct.pack(">IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
+
+
+def _read_pcap_or_none(data: bytes):
+    try:
+        capture = read_pcap(data)
+    except WireError:
+        return None
+    buf = io.BytesIO()
+    write_pcap(buf, capture)
+    assert read_pcap(buf.getvalue()) == capture
+    return capture
+
+
+@given(st.sampled_from([b"", PCAP_LE_HEADER, PCAP_BE_HEADER]), st.binary(max_size=120))
+def test_read_pcap_on_arbitrary_bytes_raises_only_wire_error(header, body):
+    _read_pcap_or_none(header + body)
+
+
+@given(st.integers(0, 10_000), st.integers(0, 3), flips, cuts)
+# The high byte of the first record's ts_usec: 0x80 makes it at least 1,000,000.
+@example(seed=0, count=1, flipped=[(24 + 7, 0x80)], cut=None)
+def test_read_pcap_on_mutated_captures_raises_only_wire_error(seed, count, flipped, cut):
+    rng = random.Random(seed)
+    records = tuple(
+        PcapRecord(
+            ts_sec=rng.randrange(1 << 32), ts_usec=rng.randrange(1_000_000),
+            frame_bytes=_random_frame(rng, with_fcs=False).emit(),
+        )
+        for _ in range(count)
+    )
+    buf = io.BytesIO()
+    write_pcap(buf, PcapFile(records=records))
+    _read_pcap_or_none(_mutate(buf.getvalue(), flipped, cut))
