@@ -1,28 +1,30 @@
 """Byte-exact codecs for the wire formats the lab manipulates.
 
-Ethernet II frames with parsed IPv4/TCP layers, the RFC 1071 Internet
+Ethernet II frames with parsed IPv4/TCP views, the RFC 1071 Internet
 checksum, the IEEE CRC-32 frame check sequence, and classic pcap files.
 Everything round-trips: ``parse_frame(data).emit() == data`` for any frame
 this module accepts, and a pcap read here and written back is byte-identical.
 
-A frame is its bytes: ``EthernetFrame.payload`` is authoritative, ``ip``
-and ``tcp`` are immutable views of it, and checksums are summed over it
-with the checksum field sliced out.  The ``with_*`` helpers splice bytes
-in, repair the checksums (and the FCS, when carried) and carry the views
-over, reparsing only when a changed field decides what the views are.
+A frame is its bytes.  :class:`EthernetFrame` holds only its wire bytes
+(and whether they end in an FCS), and constructing one parses them, so its
+``ip`` and ``tcp`` views can never disagree with the wire.
+:func:`build_tcp_frame` and the ``with_*`` helpers only produce bytes, with
+checksums (and the FCS, when carried) computed over them, and hand those to
+the same constructor.
 
-Values are validated once, at the edge: the public constructors and the
+Values are validated once, at the edge: the header constructors and the
 arguments of :func:`build_tcp_frame` and :func:`with_ip_fields` raise
-``ValueError`` when out of range.  Parsed fields and internal copies are in
-range by construction and skip the checks.  Malformed bytes raise
-:class:`WireError` subclasses only.
+``ValueError`` when out of range.  Parsed fields are in range by
+construction and skip the checks.  Malformed bytes raise :class:`WireError`
+subclasses only.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import BinaryIO, Union
 
 ETHERTYPE_IPV4 = 0x0800
@@ -51,7 +53,7 @@ SEQ_MOD = 1 << 32
 _ETH = struct.Struct("!6s6sH")
 _IPV4 = struct.Struct("!BBHHHBBHII")
 _TCP = struct.Struct("!HHIIHHHH")
-_PSEUDO = struct.Struct("!IIxBH")  # src, dst, zero byte, protocol, TCP length
+_PSEUDO = struct.Struct("!8sxBH")  # src and dst, zero byte, protocol, TCP length
 _U16 = struct.Struct("!H")
 _FCS = struct.Struct("<I")
 _IP_CHECKSUM_AT = 10
@@ -130,11 +132,6 @@ def _unchecked(cls, **fields):
     # clones it and drops the key table shared with the class (twice the size).
     new.__dict__.update(fields.items())
     return new
-
-
-def _copy(obj, **changes):
-    """``dataclasses.replace`` without ``__post_init__``."""
-    return _unchecked(type(obj), **{**obj.__dict__, **changes})
 
 
 def _check_fields(obj, widths: dict) -> None:
@@ -233,71 +230,89 @@ class TcpHeader:
         ) + self.options
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EthernetFrame:
-    """Ethernet II frame with optional parsed IPv4/TCP views.
+    """An Ethernet II frame: its wire bytes, and the views parsed out of them.
 
-    ``payload`` holds the raw L2 payload bytes and is authoritative; ``ip``
-    and ``tcp`` are views parsed out of it.  Construct frames through
-    :func:`parse_frame` or :func:`build_tcp_frame` so the views stay
-    consistent.  ``fcs``, when present, covers header plus payload and is
-    appended little-endian by ``emit()``.
+    ``data`` is the frame as sent, with the little-endian FCS as its last
+    four bytes when ``has_fcs``.  Constructing a frame parses ``data``, so
+    ``ip`` and ``tcp`` are always the IPv4 and TCP views of those bytes
+    (``None`` where a layer is absent or, for TCP, fragmented).  Malformed
+    bytes raise :class:`WireError`.  Frames compare and hash by
+    ``(data, has_fcs)``.
     """
 
-    dst_mac: bytes
-    src_mac: bytes
-    ethertype: int
-    payload: bytes
-    fcs: Union[int, None] = None
-    ip: Union[Ipv4Header, None] = None
-    tcp: Union[TcpHeader, None] = None
+    data: bytes
+    has_fcs: bool = False
+    ip: Union[Ipv4Header, None] = field(init=False, compare=False)
+    tcp: Union[TcpHeader, None] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.dst_mac) != 6 or len(self.src_mac) != 6:
-            raise ValueError("MAC addresses must be 6 bytes")
-        _check_range("ethertype", self.ethertype, 16)
-        if self.fcs is not None:
-            _check_range("fcs", self.fcs, 32)
+        end = self._fcs_at
+        if self.has_fcs and end < ETH_HEADER_LEN:
+            raise TruncatedFrame("frame too short to carry an FCS")
+        if end < ETH_HEADER_LEN:
+            raise TruncatedFrame("frame shorter than the Ethernet header")
+        ip = tcp = None
+        if _U16.unpack_from(self.data, 12)[0] == ETHERTYPE_IPV4:
+            ip, tcp = _parse_ip_layers(self.data, end)
+        object.__setattr__(self, "ip", ip)
+        object.__setattr__(self, "tcp", tcp)
+
+    @property
+    def _fcs_at(self) -> int:
+        """Offset of the FCS, or the frame length when none is carried."""
+        return len(self.data) - 4 if self.has_fcs else len(self.data)
+
+    @property
+    def payload(self) -> bytes:
+        """L2 payload: the bytes between the Ethernet header and the FCS."""
+        return self.data[ETH_HEADER_LEN:self._fcs_at]
+
+    @property
+    def fcs(self) -> Union[int, None]:
+        """The stored FCS, or ``None`` when the frame carries none."""
+        return _FCS.unpack_from(self.data, self._fcs_at)[0] if self.has_fcs else None
 
     @property
     def tcp_payload(self) -> bytes:
-        """TCP segment payload, empty when no TCP layer was parsed."""
-        if self.ip is None or self.tcp is None:
+        """TCP segment payload, empty when there is no TCP view."""
+        if self.tcp is None:
             return b""
-        start = self.ip.header_len + self.tcp.header_len
-        return self.payload[start:self.ip.total_length]
+        start = ETH_HEADER_LEN + self.ip.header_len + self.tcp.header_len
+        return self.data[start:ETH_HEADER_LEN + self.ip.total_length]
 
     @property
     def ip_payload(self) -> bytes:
         """IPv4 payload bytes (TCP header included, L2 trailer excluded)."""
         if self.ip is None:
             return b""
-        return self.payload[self.ip.header_len:self.ip.total_length]
+        return self.data[ETH_HEADER_LEN + self.ip.header_len:ETH_HEADER_LEN + self.ip.total_length]
 
     @property
     def trailer(self) -> bytes:
         """L2 padding past the IP total length (kept verbatim)."""
         if self.ip is None:
             return b""
-        return self.payload[self.ip.total_length:]
+        return self.data[ETH_HEADER_LEN + self.ip.total_length:self._fcs_at]
 
     def emit(self) -> bytes:
-        head = _ETH.pack(self.dst_mac, self.src_mac, self.ethertype)
-        if self.fcs is None:
-            return head + self.payload
-        return head + self.payload + _FCS.pack(self.fcs)
+        return self.data
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
 
-def _parse_ip_layers(payload: bytes):
-    """Parse an IPv4 header (and TCP, when applicable) out of an L2 payload."""
-    if len(payload) < IPV4_MIN_HEADER:
+def _parse_ip_layers(data: bytes, end: int):
+    """Parse the IPv4 header (and TCP, when applicable) of the L2 payload
+    ``data[ETH_HEADER_LEN:end]``."""
+    ip_at = ETH_HEADER_LEN
+    size = end - ip_at
+    if size < IPV4_MIN_HEADER:
         raise TruncatedFrame("IPv4 header shorter than 20 bytes")
     (vi, tos, total_length, ident, flags_frag, ttl, proto, cksum,
-     src, dst) = _IPV4.unpack_from(payload)
+     src, dst) = _IPV4.unpack_from(data, ip_at)
     version = vi >> 4
     if version != 4:
         raise BadVersion(f"IP version {version}, expected 4")
@@ -305,18 +320,19 @@ def _parse_ip_layers(payload: bytes):
     if ihl < 5:
         raise TruncatedFrame(f"IHL below minimum header size: {ihl}")
     header_len = ihl * 4
-    if header_len > len(payload):
+    if header_len > size:
         raise TruncatedFrame("IPv4 header length beyond captured bytes")
     if total_length < header_len:
         raise TruncatedFrame("IPv4 total length below header length")
-    if total_length > len(payload):
+    if total_length > size:
         raise TruncatedFrame("IPv4 total length beyond captured bytes")
     flags, frag_offset = flags_frag >> 13, flags_frag & 0x1FFF
+    tcp_at = ip_at + header_len
     ip = _unchecked(
         Ipv4Header, version=version, ihl=ihl, tos=tos, total_length=total_length,
         identification=ident, flags=flags, frag_offset=frag_offset, ttl=ttl,
         protocol=proto, header_checksum=cksum, src_ip=src, dst_ip=dst,
-        options=payload[IPV4_MIN_HEADER:header_len],
+        options=data[ip_at + IPV4_MIN_HEADER:tcp_at],
     )
     # Only an unfragmented datagram carries a parseable TCP header.
     if proto != PROTO_TCP or frag_offset or flags & IP_FLAG_MF:
@@ -324,19 +340,18 @@ def _parse_ip_layers(payload: bytes):
     if total_length - header_len < TCP_MIN_HEADER:
         raise TruncatedFrame("TCP header shorter than 20 bytes")
     sport, dport, seq, ack, off_bits, window, tcp_cksum, urg = _TCP.unpack_from(
-        payload, header_len
+        data, tcp_at
     )
     data_offset = off_bits >> 12
     if data_offset < 5:
         raise TruncatedFrame(f"TCP data offset below minimum: {data_offset}")
-    options_end = header_len + data_offset * 4
-    if options_end > total_length:
+    if header_len + data_offset * 4 > total_length:
         raise TruncatedFrame("TCP data offset beyond segment end")
     tcp = _unchecked(
         TcpHeader, src_port=sport, dst_port=dport, seq=seq, ack=ack,
         data_offset=data_offset, flags=off_bits & 0x1FF, window=window,
         checksum=tcp_cksum, urgent_ptr=urg,
-        options=payload[header_len + TCP_MIN_HEADER:options_end],
+        options=data[tcp_at + TCP_MIN_HEADER:tcp_at + data_offset * 4],
         reserved=(off_bits >> 9) & 0x7,
     )
     return ip, tcp
@@ -349,25 +364,7 @@ def parse_frame(data: bytes, has_fcs: bool = False) -> EthernetFrame:
     little-endian FCS.  The stored FCS is taken verbatim (use
     :func:`fcs_ok` to validate it), so parse/emit round-trips exactly.
     """
-    body = bytes(data)
-    end = len(body)
-    fcs = None
-    if has_fcs:
-        if end < ETH_HEADER_LEN + 4:
-            raise TruncatedFrame("frame too short to carry an FCS")
-        end -= 4
-        (fcs,) = _FCS.unpack_from(body, end)
-    if end < ETH_HEADER_LEN:
-        raise TruncatedFrame("frame shorter than the Ethernet header")
-    dst_mac, src_mac, ethertype = _ETH.unpack_from(body)
-    payload = body[ETH_HEADER_LEN:end]
-    ip = tcp = None
-    if ethertype == ETHERTYPE_IPV4:
-        ip, tcp = _parse_ip_layers(payload)
-    return _unchecked(
-        EthernetFrame, dst_mac=dst_mac, src_mac=src_mac, ethertype=ethertype,
-        payload=payload, fcs=fcs, ip=ip, tcp=tcp,
-    )
+    return EthernetFrame(bytes(data), has_fcs)
 
 
 # ---------------------------------------------------------------------------
@@ -379,27 +376,26 @@ def _ip_sum(header: bytes) -> int:
     return internet_checksum(header[:_IP_CHECKSUM_AT] + header[_IP_CHECKSUM_AT + 2:])
 
 
-def _tcp_sum(ip: Ipv4Header, header: bytes, payload: bytes) -> int:
-    """TCP checksum over the pseudo-header, ``header`` without its checksum
-    word, and ``payload``."""
-    pseudo = _PSEUDO.pack(ip.src_ip, ip.dst_ip, ip.protocol, len(header) + len(payload))
+def _tcp_sum(ip_header: bytes, header: bytes, payload: bytes) -> int:
+    """TCP checksum over the pseudo-header taken from the IPv4 header bytes
+    ``ip_header``, ``header`` without its checksum word, and ``payload``."""
+    pseudo = _PSEUDO.pack(ip_header[12:20], ip_header[9], len(header) + len(payload))
     return internet_checksum(
         pseudo + header[:_TCP_CHECKSUM_AT] + header[_TCP_CHECKSUM_AT + 2:] + payload
     )
 
 
-def _fcs(dst_mac: bytes, src_mac: bytes, ethertype: int, payload: bytes) -> int:
-    return fcs32(_ETH.pack(dst_mac, src_mac, ethertype) + payload)
+def _framed(head: bytes, tail: bytes, has_fcs: bool) -> EthernetFrame:
+    """The frame ``head + tail``, with a fresh FCS appended when ``has_fcs``.
 
-
-def ipv4_checksum(ip: Ipv4Header) -> int:
-    """Header checksum value for ``ip`` (checksum field treated as zero)."""
-    return _ip_sum(ip.emit())
-
-
-def tcp_checksum(ip: Ipv4Header, tcp: TcpHeader, payload: bytes) -> int:
-    """TCP checksum over the pseudo-header, TCP header and payload."""
-    return _tcp_sum(ip, tcp.emit(), payload)
+    Two pieces, so the FCS is summed over them where they are and the
+    frame's bytes are joined once: no frame-sized copy is made only to be
+    summed.
+    """
+    if not has_fcs:
+        return EthernetFrame(head + tail)
+    fcs = zlib.crc32(tail, zlib.crc32(head))
+    return EthernetFrame(b"".join((head, tail, _FCS.pack(fcs))), True)
 
 
 def ipv4_checksum_ok(frame: EthernetFrame) -> bool:
@@ -407,7 +403,8 @@ def ipv4_checksum_ok(frame: EthernetFrame) -> bool:
     ip = frame.ip
     if ip is None:
         return True
-    return _ip_sum(frame.payload[:ip.header_len]) == ip.header_checksum
+    header = frame.data[ETH_HEADER_LEN:ETH_HEADER_LEN + ip.header_len]
+    return _ip_sum(header) == ip.header_checksum
 
 
 def tcp_checksum_ok(frame: EthernetFrame) -> bool:
@@ -417,76 +414,73 @@ def tcp_checksum_ok(frame: EthernetFrame) -> bool:
     design — there is then no reassembled segment to checksum.
     """
     ip, tcp = frame.ip, frame.tcp
-    if ip is None or tcp is None:
+    if tcp is None:
         return True
-    start = ip.header_len
-    data = start + tcp.header_len
-    l2 = frame.payload
-    return _tcp_sum(ip, l2[start:data], l2[data:ip.total_length]) == tcp.checksum
+    data = frame.data
+    start = ETH_HEADER_LEN + ip.header_len
+    at = start + tcp.header_len
+    payload = data[at:ETH_HEADER_LEN + ip.total_length]
+    return _tcp_sum(data[ETH_HEADER_LEN:start], data[start:at], payload) == tcp.checksum
 
 
 def fcs_ok(frame: EthernetFrame) -> bool:
     """Verify the FCS when carried; frames without one have nothing to fail."""
-    if frame.fcs is None:
-        return True
-    return _fcs(frame.dst_mac, frame.src_mac, frame.ethertype, frame.payload) == frame.fcs
+    return not frame.has_fcs or fcs32(frame.data[:-4]) == frame.fcs
 
 
-def _spliced(frame: EthernetFrame, payload: bytes, ip, tcp) -> EthernetFrame:
-    """Copy of ``frame`` carrying ``payload`` and its views, FCS recomputed."""
-    fcs = frame.fcs
-    if fcs is not None:
-        fcs = _fcs(frame.dst_mac, frame.src_mac, frame.ethertype, payload)
-    return _copy(frame, payload=payload, fcs=fcs, ip=ip, tcp=tcp)
-
-
-# IPv4 fields that decide whether (and where) the TCP view exists.
-_VIEW_FIELDS = frozenset({"version", "flags", "frag_offset", "protocol", "total_length"})
+# Where each fixed IPv4 field's lowest bit sits in the 160-bit fixed header
+# (``_IPV4_BITS`` lists the fields in wire order).
+_IPV4_SHIFT = dict(zip(_IPV4_BITS, (160 - end for end in accumulate(_IPV4_BITS.values()))))
+# IPv4 fields the TCP checksum covers through its pseudo-header.
+_PSEUDO_FIELDS = frozenset({"src_ip", "dst_ip", "protocol", "total_length"})
 
 
 def with_ip_fields(frame: EthernetFrame, **fields) -> EthernetFrame:
-    """Frame with scalar IPv4 header fields replaced and checksum repaired.
+    """Frame with scalar IPv4 header fields replaced and checksums repaired.
 
     Only fixed-width fields may change (not ``options``/``ihl``), so the
-    header length is stable and everything after it is untouched.  The
-    views are reparsed only when a field in ``_VIEW_FIELDS`` changes.
+    header length is stable and everything after it is untouched, except
+    the TCP checksum when a field of its pseudo-header changes.
     """
-    if frame.ip is None:
+    ip = frame.ip
+    if ip is None:
         raise ValueError("frame has no IPv4 layer")
+    data = frame.data
+    fixed = int.from_bytes(data[ETH_HEADER_LEN:ETH_HEADER_LEN + IPV4_MIN_HEADER], "big")
     for name, value in fields.items():
         if name == "ihl" or name not in _IPV4_BITS:
             raise ValueError(f"{name} is not a scalar field that keeps the header length")
-        _check_range(name, value, _IPV4_BITS[name])
-    ip = _copy(frame.ip, **fields)
-    header = ip.emit()
-    checksum = _ip_sum(header)
-    payload = _put16(header, _IP_CHECKSUM_AT, checksum) + frame.payload[ip.header_len:]
-    if _VIEW_FIELDS.isdisjoint(fields):
-        return _spliced(frame, payload, _copy(ip, header_checksum=checksum), frame.tcp)
-    return _spliced(frame, payload, *_parse_ip_layers(payload))
+        bits, shift = _IPV4_BITS[name], _IPV4_SHIFT[name]
+        _check_range(name, value, bits)
+        fixed = (fixed & ~(((1 << bits) - 1) << shift)) | (value << shift)
+    header = fixed.to_bytes(IPV4_MIN_HEADER, "big") + ip.options
+    header = _put16(header, _IP_CHECKSUM_AT, _ip_sum(header))
+    out = _framed(data[:ETH_HEADER_LEN] + header, frame.payload[ip.header_len:], frame.has_fcs)
+    if out.tcp is not None and not _PSEUDO_FIELDS.isdisjoint(fields):
+        return with_tcp_payload(out, out.tcp_payload)
+    return out
 
 
 def with_tcp_payload(frame: EthernetFrame, payload: bytes) -> EthernetFrame:
     """Frame with its TCP payload replaced (same length) and checksum repaired."""
     ip, tcp = frame.ip, frame.tcp
-    if ip is None or tcp is None:
+    if tcp is None:
         raise ValueError("frame has no TCP layer")
-    start = ip.header_len
-    data = start + tcp.header_len
-    end = ip.total_length
-    if len(payload) != end - data:
+    old = frame.data
+    start = ETH_HEADER_LEN + ip.header_len
+    at = start + tcp.header_len
+    if len(payload) != ETH_HEADER_LEN + ip.total_length - at:
         raise ValueError("replacement payload must preserve length")
-    old = frame.payload
-    checksum = _tcp_sum(ip, old[start:data], payload)
-    new = _put16(old[:data], start + _TCP_CHECKSUM_AT, checksum) + payload + old[end:]
-    return _spliced(frame, new, ip, _copy(tcp, checksum=checksum))
+    checksum = _tcp_sum(old[ETH_HEADER_LEN:start], old[start:at], payload)
+    head = _put16(old[:at], start + _TCP_CHECKSUM_AT, checksum)
+    return _framed(head, payload + frame.trailer, frame.has_fcs)
 
 
 def strip_fcs(frame: EthernetFrame) -> EthernetFrame:
     """Frame without its FCS (captures conventionally store frames bare)."""
-    if frame.fcs is None:
+    if not frame.has_fcs:
         return frame
-    return _copy(frame, fcs=None)
+    return EthernetFrame(frame.data[:-4])
 
 
 def ipv4(address: Union[str, int]) -> int:
@@ -507,10 +501,6 @@ def ipv4(address: Union[str, int]) -> int:
 
 def ipv4_str(address: int) -> str:
     return ".".join(str((address >> shift) & 0xFF) for shift in (24, 16, 8, 0))
-
-
-def mac_str(mac: bytes) -> str:
-    return ":".join(f"{b:02x}" for b in mac)
 
 
 def build_tcp_frame(
@@ -535,29 +525,28 @@ def build_tcp_frame(
     with_fcs: bool = False,
 ) -> EthernetFrame:
     """Assemble a checksummed TCP/IPv4/Ethernet frame from field values."""
-    tcp = TcpHeader(
-        src_port=src_port, dst_port=dst_port, seq=seq % SEQ_MOD, ack=ack % SEQ_MOD,
-        data_offset=5, flags=flags, window=window, checksum=0, urgent_ptr=urgent_ptr,
+    if len(dst_mac) != 6 or len(src_mac) != 6:
+        raise ValueError("MAC addresses must be 6 bytes")
+    total_length = IPV4_MIN_HEADER + TCP_MIN_HEADER + len(payload)
+    for name, value, bits in (
+        ("src_port", src_port, 16), ("dst_port", dst_port, 16), ("flags", flags, 9),
+        ("window", window, 16), ("urgent_ptr", urgent_ptr, 16), ("tos", tos, 8),
+        ("total_length", total_length, 16), ("ip_id", ip_id, 16),
+        ("ip_flags", ip_flags, 3), ("frag_offset", frag_offset, 13), ("ttl", ttl, 8),
+    ):
+        _check_range(name, value, bits)
+    ip_header = _IPV4.pack(
+        0x45, tos, total_length, ip_id, (ip_flags << 13) | frag_offset, ttl, PROTO_TCP,
+        0, ipv4(src_ip), ipv4(dst_ip),
     )
-    ip = Ipv4Header(
-        version=4, ihl=5, tos=tos,
-        total_length=IPV4_MIN_HEADER + TCP_MIN_HEADER + len(payload),
-        identification=ip_id, flags=ip_flags, frag_offset=frag_offset, ttl=ttl,
-        protocol=PROTO_TCP, header_checksum=0, src_ip=ipv4(src_ip), dst_ip=ipv4(dst_ip),
+    ip_header = _put16(ip_header, _IP_CHECKSUM_AT, _ip_sum(ip_header))
+    tcp_header = _TCP.pack(
+        src_port, dst_port, seq % SEQ_MOD, ack % SEQ_MOD, (5 << 12) | flags, window, 0,
+        urgent_ptr,
     )
-    ip_header, tcp_header = ip.emit(), tcp.emit()
-    ip_sum = _ip_sum(ip_header)
-    tcp_sum = _tcp_sum(ip, tcp_header, payload)
-    l2_payload = (
-        _put16(ip_header, _IP_CHECKSUM_AT, ip_sum)
-        + _put16(tcp_header, _TCP_CHECKSUM_AT, tcp_sum)
-        + payload
-    )
-    return EthernetFrame(
-        dst_mac=dst_mac, src_mac=src_mac, ethertype=ETHERTYPE_IPV4, payload=l2_payload,
-        fcs=_fcs(dst_mac, src_mac, ETHERTYPE_IPV4, l2_payload) if with_fcs else None,
-        ip=_copy(ip, header_checksum=ip_sum), tcp=_copy(tcp, checksum=tcp_sum),
-    )
+    tcp_header = _put16(tcp_header, _TCP_CHECKSUM_AT, _tcp_sum(ip_header, tcp_header, payload))
+    eth_header = _ETH.pack(dst_mac, src_mac, ETHERTYPE_IPV4)
+    return _framed(eth_header + ip_header + tcp_header, payload, with_fcs)
 
 
 # ---------------------------------------------------------------------------

@@ -450,6 +450,39 @@ def test_rewrite_pcap_leaves_foreign_traffic_alone(capsys, tmp_path):
     assert out_path.read_bytes() == source.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "transfer_args, policy_args",
+    [
+        (["--seed", 7], ["--message", "feedc0de"]),
+        # Seed 2 drops four frames on this link, so a SYN and a data segment are resent.
+        (["--seed", 2, "--bpp", 8, "--loss", 0.05, "--reorder", 0.05],
+         ["--keystream-seed", 9, "--coverage", 0.5]),
+    ],
+    ids=["golden", "impaired-8bpp-keystream"],
+)
+def test_rewrite_pcap_of_direct_capture_equals_inflight_stego_capture(
+    capsys, tmp_path, transfer_args, policy_args
+):
+    """Rewriting the direct capture offline gives the frames the in-flight tap
+    put on the wire, record by record (timestamps differ by the tap delay)."""
+    code, _, _ = run(
+        ["transfer", "--width", 96, "--height", 64, *transfer_args,
+         *policy_args, "--out-dir", tmp_path], capsys,
+    )
+    assert code == 0
+    rewritten = tmp_path / "rewritten.pcap"
+    code, _, _ = run(
+        ["rewrite-pcap", "--in", tmp_path / "direct.pcap", "--out", rewritten,
+         *policy_args], capsys,
+    )
+    assert code == 0
+    offline = [r.frame_bytes for r in read_pcap(str(rewritten)).records]
+    inflight = [r.frame_bytes for r in read_pcap(str(tmp_path / "stego.pcap")).records]
+    assert len(offline) == len(inflight)
+    for index, (a, b) in enumerate(zip(offline, inflight)):
+        assert a == b, f"record {index}"
+
+
 # ---------------------------------------------------------------------------
 # capacity & classify
 

@@ -34,15 +34,12 @@ from netsteglab.wirecodec import (
     fcs_ok,
     internet_checksum,
     ipv4,
-    ipv4_checksum,
     ipv4_checksum_ok,
     ipv4_str,
-    mac_str,
     ns_to_pcap_ts,
     parse_frame,
     read_pcap,
     strip_fcs,
-    tcp_checksum,
     tcp_checksum_ok,
     with_ip_fields,
     with_tcp_payload,
@@ -231,13 +228,10 @@ def test_tcp_header_and_frame_reject_bad_fields():
             src_port=0, dst_port=0, seq=0, ack=0, data_offset=6,
             flags=0, window=0, checksum=0, urgent_ptr=0,  # options missing
         )
-    with pytest.raises(ValueError):
-        EthernetFrame(dst_mac=b"\x00" * 6, src_mac=b"\x00" * 5, ethertype=0x0800, payload=b"")
-    with pytest.raises(ValueError):
-        EthernetFrame(
-            dst_mac=b"\x00" * 6, src_mac=b"\x00" * 6, ethertype=0x0800, payload=b"",
-            fcs=1 << 32,
-        )
+    with pytest.raises(TruncatedFrame):
+        EthernetFrame(b"\x00" * 13)  # shorter than the Ethernet header
+    with pytest.raises(TruncatedFrame):
+        EthernetFrame(b"\x00" * 17, has_fcs=True)  # header plus FCS needs 18 bytes
 
 
 @pytest.mark.parametrize(
@@ -500,6 +494,29 @@ def test_with_ip_fields_ttl_does_not_touch_tcp_checksum():
     assert out.tcp.checksum == frame.tcp.checksum
 
 
+@pytest.mark.parametrize(
+    "steps",
+    [
+        [{"src_ip": 0x0A000063}],
+        [{"dst_ip": 0xC0A80001}],
+        [{"src_ip": 0x01020304, "dst_ip": 0x05060708, "ttl": 9}],
+        [{"total_length": 20 + 20 + 3}],  # a shorter segment: payload bytes become trailer
+        # Without a TCP view there is no TCP checksum to repair; it comes back with protocol 6.
+        [{"protocol": 17}, {"dst_ip": 0x0A0000FE}, {"protocol": 6}],
+    ],
+)
+def test_with_ip_fields_repairs_tcp_checksum_on_pseudo_header_change(steps):
+    out = build_tcp_frame(
+        src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=40000, dst_port=8080,
+        seq=100, payload=b"0123456789", with_fcs=True,
+    )
+    for changes in steps:
+        out = with_ip_fields(out, **changes)
+    assert ipv4_checksum_ok(out) and fcs_ok(out)
+    assert tcp_checksum_ok(out)
+    assert tcp_checksum_oracle(out) == out.tcp.checksum
+
+
 def test_with_ip_fields_rejects_structural_changes():
     frame = build_tcp_frame(
         src_ip="1.1.1.1", dst_ip="2.2.2.2", src_port=1, dst_port=2, seq=0,
@@ -581,7 +598,7 @@ def test_mutators_give_the_views_the_parser_gives(seed, with_fcs, changes):
             continue
         assert getattr(out.ip, name) == value or name == "header_checksum"
         _assert_views_match_parser(out)
-        assert ipv4_checksum_ok(out) and fcs_ok(out)
+        assert ipv4_checksum_ok(out) and tcp_checksum_ok(out) and fcs_ok(out)
         frame = out
         if frame.tcp is not None:
             spliced = with_tcp_payload(frame, rng.randbytes(len(frame.tcp_payload)))
@@ -622,10 +639,6 @@ def test_ipv4_conversions():
         ipv4("256.0.0.1")
     with pytest.raises(ValueError):
         ipv4("1.2.3")
-
-
-def test_mac_str():
-    assert mac_str(b"\x02\x00\x00\x00\x00\x01") == "02:00:00:00:00:01"
 
 
 # ---------------------------------------------------------------------------
