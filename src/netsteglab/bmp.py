@@ -14,7 +14,6 @@ from dataclasses import dataclass
 HEADER_LEN = 54          # 14-byte file header + 40-byte info header
 PALETTE_LEN = 256 * 4
 BI_RGB = 0               # biCompression value of uncompressed pixel data
-MAX_FILE_SIZE = 0xFFFFFFFF  # bfSize is a 32-bit field
 _FILE_HEADER = struct.Struct("<2sIHHI")
 _INFO_HEADER = struct.Struct("<IiiHHIIiiII")
 
@@ -68,18 +67,22 @@ def parse_bmp_info(data: bytes) -> BmpInfo:
 
     Raises :class:`NotBmp` for anything that is not a plausible uncompressed
     carrier and :class:`UnsupportedBpp` for BMPs at other pixel depths.
-    A negative height (top-down row order) is folded to its magnitude: the
-    byte layout is identical either way.
+    The pixel data must fit inside the declared file size (``bfSize``) and,
+    when ``biSizeImage`` is given, inside it too, so nothing past the file
+    is ever taken for pixels.  A negative height (top-down row order) is
+    folded to its magnitude: the byte layout is identical either way.
     """
     if len(data) < HEADER_LEN:
         raise NotBmp("need at least 54 header bytes")
     if data[:2] != b"BM":
         raise NotBmp("missing BM magic")
+    file_size = struct.unpack_from("<I", data, 2)[0]
     pixel_offset = struct.unpack_from("<I", data, 10)[0]
     width = struct.unpack_from("<i", data, 18)[0]
     height = struct.unpack_from("<i", data, 22)[0]
     bpp = struct.unpack_from("<H", data, 28)[0]
     compression = struct.unpack_from("<I", data, 30)[0]
+    image_size = struct.unpack_from("<I", data, 34)[0]
     if bpp not in (8, 24):
         raise UnsupportedBpp(f"{bpp} bits per pixel")
     if compression != BI_RGB:
@@ -94,11 +97,13 @@ def parse_bmp_info(data: bytes) -> BmpInfo:
         height=abs(height),
         bits_per_pixel=bpp,
     )
-    if info.pixel_data_end > MAX_FILE_SIZE:
+    if file_size < info.pixel_data_end:
         raise NotBmp(
             f"{width}x{abs(height)} pixel data ends at byte {info.pixel_data_end}, "
-            "past what the 32-bit bfSize field can describe"
+            f"past the declared file size {file_size}"
         )
+    if 0 < image_size < info.height * info.row_stride:
+        raise NotBmp(f"biSizeImage {image_size} is shorter than the pixel data")
     return info
 
 

