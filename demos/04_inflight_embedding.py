@@ -33,7 +33,7 @@ def main() -> None:
 
     interceptor = Interceptor(policy)
     stego = simulate_transfer(
-        payload, link, tap=interceptor.tap, tap_delay_ns=50_000
+        payload, link, tap=interceptor.process, tap_delay_ns=50_000
     )
 
     print("== what the tap did ==")

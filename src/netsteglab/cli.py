@@ -275,7 +275,7 @@ def cmd_transfer(args: argparse.Namespace) -> int:
     interceptor = Interceptor(policy)
     stego = simulate_transfer(
         payload, link, sender=sender, warden=warden,
-        tap=interceptor.tap, tap_delay_ns=tap_delay_ns,
+        tap=interceptor.process, tap_delay_ns=tap_delay_ns,
     )
 
     write_pcap(str(out / "direct.pcap"), trace_to_pcap(direct))

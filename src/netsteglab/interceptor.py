@@ -452,10 +452,6 @@ class Interceptor:
             return frame
         return embed_in_frame(frame, state, self.policy)
 
-    def tap(self, frame: EthernetFrame, direction: str, t_ns: int) -> EthernetFrame:
-        """Adapter matching the simulator's in-flight hook signature."""
-        return self.process(frame)
-
     def flow_reports(self) -> List[FlowReport]:
         return [
             FlowReport(

@@ -48,6 +48,11 @@ SERVER_PORT = 8080
 
 DIR_C2S = "c2s"
 DIR_S2C = "s2c"
+# Each direction's (src_ip, dst_ip, src_port, dst_port, src_mac, dst_mac).
+_ENDS = {
+    DIR_C2S: (CLIENT_IP, SERVER_IP, CLIENT_PORT, SERVER_PORT, CLIENT_MAC, SERVER_MAC),
+    DIR_S2C: (SERVER_IP, CLIENT_IP, SERVER_PORT, CLIENT_PORT, SERVER_MAC, CLIENT_MAC),
+}
 
 WARDEN_TTL = 64
 WARDEN_MODES = ("passive", "active", "malicious")
@@ -190,7 +195,7 @@ class TransferTrace:
     max_in_flight: int = 0
 
 
-TapFn = Callable[[EthernetFrame, str, int], EthernetFrame]
+TapFn = Callable[[EthernetFrame], EthernetFrame]
 
 
 class _Sim:
@@ -263,7 +268,7 @@ class _Sim:
     def transmit(self, frame: EthernetFrame, direction: str, kind: str, on_arrive) -> None:
         """Push one frame onto the link: tap, warden, then impairments."""
         if self.tap is not None:
-            frame = self.tap(frame, direction, self.now)
+            frame = self.tap(frame)
         if self.warden is not None:
             frame = apply_warden(frame, self.warden, self.warden_rng)
         self.log(kind, direction, frame)
@@ -308,18 +313,28 @@ class _Sim:
             max_in_flight=self.max_in_flight,
         )
 
+    def send(
+        self, direction: str, kind: str, on_arrive, seq: int, ack: int, flags: int,
+        payload: bytes = b"",
+    ) -> None:
+        """Build the next frame of this connection in ``direction`` and transmit it.
+
+        ``seq`` and ``ack`` wrap modulo 2^32 in :func:`build_tcp_frame`.
+        """
+        src_ip, dst_ip, src_port, dst_port, src_mac, dst_mac = _ENDS[direction]
+        end = self.sender if direction == DIR_C2S else self.receiver
+        frame = build_tcp_frame(
+            src_ip=src_ip, dst_ip=dst_ip, src_port=src_port, dst_port=dst_port,
+            seq=seq, ack=ack, flags=flags, payload=payload, window=end.recv_buffer,
+            ip_id=next(self.ip_id[direction]),
+            dst_mac=dst_mac, src_mac=src_mac, with_fcs=True,
+        )
+        self.transmit(frame, direction, kind, on_arrive)
+
     # -- handshake -----------------------------------------------------------
 
     def send_syn(self) -> None:
-        frame = build_tcp_frame(
-            src_ip=CLIENT_IP, dst_ip=SERVER_IP,
-            src_port=CLIENT_PORT, dst_port=SERVER_PORT,
-            seq=self.sender.isn, ack=0, flags=TCP_SYN,
-            window=self.sender.recv_buffer,
-            ip_id=next(self.ip_id[DIR_C2S]),
-            dst_mac=SERVER_MAC, src_mac=CLIENT_MAC, with_fcs=True,
-        )
-        self.transmit(frame, DIR_C2S, "syn", self.on_syn_arrive)
+        self.send(DIR_C2S, "syn", self.on_syn_arrive, self.sender.isn, 0, TCP_SYN)
 
     def on_hs_timer(self) -> None:
         if self.hs_done:
@@ -332,16 +347,10 @@ class _Sim:
         self.schedule(self.now + self.link.processing_ns, self.send_synack)
 
     def send_synack(self) -> None:
-        frame = build_tcp_frame(
-            src_ip=SERVER_IP, dst_ip=CLIENT_IP,
-            src_port=SERVER_PORT, dst_port=CLIENT_PORT,
-            seq=self.receiver.isn, ack=(self.sender.isn + 1) % SEQ_MOD,
-            flags=TCP_SYN | TCP_ACK,
-            window=self.receiver.recv_buffer,
-            ip_id=next(self.ip_id[DIR_S2C]),
-            dst_mac=CLIENT_MAC, src_mac=SERVER_MAC, with_fcs=True,
+        self.send(
+            DIR_S2C, "synack", self.on_synack_arrive,
+            self.receiver.isn, self.sender.isn + 1, TCP_SYN | TCP_ACK,
         )
-        self.transmit(frame, DIR_S2C, "synack", self.on_synack_arrive)
 
     def on_synack_arrive(self, frame: EthernetFrame) -> None:
         if self.hs_done:
@@ -366,19 +375,10 @@ class _Sim:
 
     def send_segment(self, index: int, retransmit: bool) -> None:
         off, size = self.segments[index]
-        frame = build_tcp_frame(
-            src_ip=CLIENT_IP, dst_ip=SERVER_IP,
-            src_port=CLIENT_PORT, dst_port=SERVER_PORT,
-            seq=(self.sender.isn + 1 + off) % SEQ_MOD,
-            ack=(self.receiver.isn + 1) % SEQ_MOD,
-            flags=TCP_ACK,
-            payload=self.payload[off:off + size],
-            window=self.sender.recv_buffer,
-            ip_id=next(self.ip_id[DIR_C2S]),
-            dst_mac=SERVER_MAC, src_mac=CLIENT_MAC, with_fcs=True,
-        )
-        self.transmit(
-            frame, DIR_C2S, "retransmit" if retransmit else "data", self.on_data_arrive
+        self.send(
+            DIR_C2S, "retransmit" if retransmit else "data", self.on_data_arrive,
+            self.sender.isn + 1 + off, self.receiver.isn + 1, TCP_ACK,
+            self.payload[off:off + size],
         )
 
     def arm_timer(self) -> None:
@@ -426,17 +426,10 @@ class _Sim:
         self.schedule(self.now + self.link.processing_ns, self.send_ack)
 
     def send_ack(self) -> None:
-        frame = build_tcp_frame(
-            src_ip=SERVER_IP, dst_ip=CLIENT_IP,
-            src_port=SERVER_PORT, dst_port=CLIENT_PORT,
-            seq=(self.receiver.isn + 1) % SEQ_MOD,
-            ack=(self.sender.isn + 1 + len(self.delivered)) % SEQ_MOD,
-            flags=TCP_ACK,
-            window=self.receiver.recv_buffer,
-            ip_id=next(self.ip_id[DIR_S2C]),
-            dst_mac=CLIENT_MAC, src_mac=SERVER_MAC, with_fcs=True,
+        self.send(
+            DIR_S2C, "ack", self.on_ack_arrive,
+            self.receiver.isn + 1, self.sender.isn + 1 + len(self.delivered), TCP_ACK,
         )
-        self.transmit(frame, DIR_S2C, "ack", self.on_ack_arrive)
 
 
 def simulate_transfer(

@@ -12,11 +12,11 @@ A frame is its bytes.  :class:`EthernetFrame` holds only its wire bytes
 checksums (and the FCS, when carried) computed over them, and hand those to
 the same constructor.
 
-Values are validated once, at the edge: the header constructors and the
-arguments of :func:`build_tcp_frame` and :func:`with_ip_fields` raise
-``ValueError`` when out of range.  Parsed fields are in range by
-construction and skip the checks.  Malformed bytes raise :class:`WireError`
-subclasses only.
+Values are validated once, at the edge: the arguments of
+:func:`build_tcp_frame` and :func:`with_ip_fields` raise ``ValueError`` when
+out of range.  The ``ip`` and ``tcp`` views are read-only tuples that only
+the parser makes, so their fields are in range by construction.  Malformed
+bytes raise :class:`WireError` subclasses only.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import BinaryIO, Union
+from typing import BinaryIO, NamedTuple, Union
 
 ETHERTYPE_IPV4 = 0x0800
 PROTO_TCP = 6
@@ -116,30 +116,12 @@ def fcs32(data: bytes) -> int:
 
 
 # ---------------------------------------------------------------------------
-# header value objects
+# header views
 
 
 def _check_range(name: str, value: int, bits: int) -> None:
     if not 0 <= value < (1 << bits):
         raise ValueError(f"{name} out of range for {bits} bits: {value!r}")
-
-
-def _unchecked(cls, **fields):
-    """``cls(**fields)`` without ``__post_init__``, for fields in range by
-    construction; every field must be given."""
-    new = object.__new__(cls)
-    # From items(), not a dict: merging a dict into the empty instance dict
-    # clones it and drops the key table shared with the class (twice the size).
-    new.__dict__.update(fields.items())
-    return new
-
-
-def _check_fields(obj, widths: dict) -> None:
-    """``_check_range`` over every field named in ``widths``."""
-    for name, bits in widths.items():
-        value = getattr(obj, name)
-        if not 0 <= value < 1 << bits:
-            _check_range(name, value, bits)
 
 
 def _put16(data: bytes, at: int, value: int) -> bytes:
@@ -152,15 +134,10 @@ _IPV4_BITS = {
     "flags": 3, "frag_offset": 13, "ttl": 8, "protocol": 8, "header_checksum": 16,
     "src_ip": 32, "dst_ip": 32,
 }
-_TCP_BITS = {
-    "src_port": 16, "dst_port": 16, "seq": 32, "ack": 32, "data_offset": 4,
-    "flags": 9, "window": 16, "checksum": 16, "urgent_ptr": 16, "reserved": 3,
-}
 
 
-@dataclass(frozen=True)
-class Ipv4Header:
-    """Parsed IPv4 header.  ``emit()`` returns exactly ``ihl * 4`` bytes."""
+class Ipv4Header(NamedTuple):
+    """The IPv4 header of a frame, as the parser reads it from the bytes."""
 
     version: int
     ihl: int
@@ -174,30 +151,15 @@ class Ipv4Header:
     header_checksum: int
     src_ip: int
     dst_ip: int
-    options: bytes = b""
-
-    def __post_init__(self) -> None:
-        _check_fields(self, _IPV4_BITS)
-        if self.ihl < 5:
-            raise ValueError(f"ihl below minimum header size: {self.ihl}")
-        if len(self.options) != (self.ihl - 5) * 4:
-            raise ValueError("options length inconsistent with ihl")
+    options: bytes
 
     @property
     def header_len(self) -> int:
         return self.ihl * 4
 
-    def emit(self) -> bytes:
-        return _IPV4.pack(
-            (self.version << 4) | self.ihl, self.tos, self.total_length,
-            self.identification, (self.flags << 13) | self.frag_offset, self.ttl,
-            self.protocol, self.header_checksum, self.src_ip, self.dst_ip,
-        ) + self.options
 
-
-@dataclass(frozen=True)
-class TcpHeader:
-    """Parsed TCP header.  ``emit()`` returns exactly ``data_offset * 4`` bytes."""
+class TcpHeader(NamedTuple):
+    """The TCP header of a frame, as the parser reads it from the bytes."""
 
     src_port: int
     dst_port: int
@@ -208,26 +170,12 @@ class TcpHeader:
     window: int
     checksum: int
     urgent_ptr: int
-    options: bytes = b""
-    reserved: int = 0   # 3 bits between data_offset and NS, normally zero
-
-    def __post_init__(self) -> None:
-        _check_fields(self, _TCP_BITS)
-        if self.data_offset < 5:
-            raise ValueError(f"data_offset below minimum: {self.data_offset}")
-        if len(self.options) != (self.data_offset - 5) * 4:
-            raise ValueError("options length inconsistent with data_offset")
+    options: bytes
+    reserved: int       # 3 bits between data_offset and NS, normally zero
 
     @property
     def header_len(self) -> int:
         return self.data_offset * 4
-
-    def emit(self) -> bytes:
-        return _TCP.pack(
-            self.src_port, self.dst_port, self.seq, self.ack,
-            (self.data_offset << 12) | (self.reserved << 9) | self.flags,
-            self.window, self.checksum, self.urgent_ptr,
-        ) + self.options
 
 
 @dataclass(frozen=True, slots=True)
@@ -328,11 +276,9 @@ def _parse_ip_layers(data: bytes, end: int):
         raise TruncatedFrame("IPv4 total length beyond captured bytes")
     flags, frag_offset = flags_frag >> 13, flags_frag & 0x1FFF
     tcp_at = ip_at + header_len
-    ip = _unchecked(
-        Ipv4Header, version=version, ihl=ihl, tos=tos, total_length=total_length,
-        identification=ident, flags=flags, frag_offset=frag_offset, ttl=ttl,
-        protocol=proto, header_checksum=cksum, src_ip=src, dst_ip=dst,
-        options=data[ip_at + IPV4_MIN_HEADER:tcp_at],
+    ip = Ipv4Header(
+        version, ihl, tos, total_length, ident, flags, frag_offset, ttl, proto, cksum,
+        src, dst, data[ip_at + IPV4_MIN_HEADER:tcp_at],
     )
     # Only an unfragmented datagram carries a parseable TCP header.
     if proto != PROTO_TCP or frag_offset or flags & IP_FLAG_MF:
@@ -347,12 +293,9 @@ def _parse_ip_layers(data: bytes, end: int):
         raise TruncatedFrame(f"TCP data offset below minimum: {data_offset}")
     if header_len + data_offset * 4 > total_length:
         raise TruncatedFrame("TCP data offset beyond segment end")
-    tcp = _unchecked(
-        TcpHeader, src_port=sport, dst_port=dport, seq=seq, ack=ack,
-        data_offset=data_offset, flags=off_bits & 0x1FF, window=window,
-        checksum=tcp_cksum, urgent_ptr=urg,
-        options=data[tcp_at + TCP_MIN_HEADER:tcp_at + data_offset * 4],
-        reserved=(off_bits >> 9) & 0x7,
+    tcp = TcpHeader(
+        sport, dport, seq, ack, data_offset, off_bits & 0x1FF, window, tcp_cksum, urg,
+        data[tcp_at + TCP_MIN_HEADER:tcp_at + data_offset * 4], (off_bits >> 9) & 0x7,
     )
     return ip, tcp
 
@@ -596,12 +539,8 @@ def ns_to_pcap_ts(t_ns: int) -> tuple:
     return t_ns // 1_000_000_000, (t_ns % 1_000_000_000) // 1_000
 
 
-def write_pcap(out: Union[str, BinaryIO], pcap) -> None:
-    """Write a :class:`PcapFile` (or iterable of records) as little-endian pcap."""
-    if not isinstance(pcap, PcapFile):
-        pcap = PcapFile(records=tuple(pcap))
-        if pcap.snaplen < 1514:
-            raise ValueError("snaplen below a full Ethernet frame")
+def write_pcap(out: Union[str, BinaryIO], pcap: PcapFile) -> None:
+    """Write a :class:`PcapFile` as little-endian pcap."""
     if pcap.linktype != LINKTYPE_ETHERNET:
         raise UnsupportedLinktype(f"linktype {pcap.linktype}")
     close = False
@@ -661,10 +600,9 @@ def read_pcap(source: Union[str, bytes, BinaryIO]) -> PcapFile:
             raise TruncatedRecord("record body truncated")
         if ts_usec >= 1_000_000:
             raise BadTimestamp(f"record microseconds {ts_usec} out of range")
-        records.append(_unchecked(
-            PcapRecord, ts_sec=ts_sec, ts_usec=ts_usec,
-            frame_bytes=data[offset:offset + incl_len], orig_len=orig_len,
-        ))
+        records.append(
+            PcapRecord(ts_sec, ts_usec, data[offset:offset + incl_len], orig_len)
+        )
         offset += incl_len
     return PcapFile(
         records=tuple(records),

@@ -158,7 +158,7 @@ def test_criterion_4_end_to_end_over_impaired_links(capsys):
         direct = simulate_transfer(payload, link)
         interceptor = Interceptor(policy)
         stego = simulate_transfer(
-            payload, link, tap=interceptor.tap, tap_delay_ns=50_000
+            payload, link, tap=interceptor.process, tap_delay_ns=50_000
         )
         if not (direct.completed and stego.completed):
             failures.append(f"run {run}: transfer stalled")
@@ -293,7 +293,7 @@ def test_criterion_7_determinism(capsys, tmp_path):
         link = LinkModel(loss_rate=0.06, reorder_rate=0.06, jitter_ms=2.0, seed=99)
         interceptor = Interceptor(policy)
         trace = simulate_transfer(
-            payload, link, tap=interceptor.tap, tap_delay_ns=50_000
+            payload, link, tap=interceptor.process, tap_delay_ns=50_000
         )
         pcap_path = tmp_path / f"{attempt}.pcap"
         write_pcap(str(pcap_path), trace_to_pcap(trace))
@@ -327,7 +327,7 @@ def test_criterion_8_overhead_shape(capsys):
         direct = simulate_transfer(payload, link)
         interceptor = Interceptor(StegoPolicy(keystream_seed=8))
         tapped = simulate_transfer(
-            payload, link, tap=interceptor.tap, tap_delay_ns=50_000
+            payload, link, tap=interceptor.process, tap_delay_ns=50_000
         )
         deltas[img.name] = (len(payload), overhead_report(direct, tapped).delta_ms)
     nonneg = all(delta >= 0 for _, delta in deltas.values())

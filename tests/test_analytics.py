@@ -246,7 +246,7 @@ def test_overhead_report_from_simulated_traces():
     link = LinkModel(seed=3)
     direct = simulate_transfer(payload, link)
     stego = simulate_transfer(
-        payload, link, tap=lambda frame, d, t: frame, tap_delay_ns=50_000
+        payload, link, tap=lambda frame: frame, tap_delay_ns=50_000
     )
     report = overhead_report(direct, stego)
     assert report.delta_ms > 0

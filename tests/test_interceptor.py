@@ -474,7 +474,7 @@ def test_end_to_end_extraction_under_impairments(seed):
         seed=seed,
     )
     interceptor = Interceptor(policy)
-    trace = simulate_transfer(file_bytes, link, tap=interceptor.tap, tap_delay_ns=50_000)
+    trace = simulate_transfer(file_bytes, link, tap=interceptor.process, tap_delay_ns=50_000)
     assert trace.completed
     assert trace.delivered == embed_oracle(file_bytes, policy)
     extracted = extract_from_file(trace.delivered, policy)
@@ -489,7 +489,7 @@ def test_end_to_end_non_carrier_bytes_identical_to_direct_run():
     link = LinkModel(seed=21)
     direct = simulate_transfer(file_bytes, link)
     interceptor = Interceptor(policy)
-    stego = simulate_transfer(file_bytes, link, tap=interceptor.tap)
+    stego = simulate_transfer(file_bytes, link, tap=interceptor.process)
     info = parse_bmp_info(file_bytes)
     carriers = set(carrier_map_oracle(info))
     assert len(direct.delivered) == len(stego.delivered)

@@ -13,8 +13,13 @@ import pytest
 
 from netsteglab.netsim import (
     CLIENT_IP,
+    CLIENT_MAC,
+    CLIENT_PORT,
     LinkModel,
     MS,
+    SERVER_IP,
+    SERVER_MAC,
+    SERVER_PORT,
     Stalled,
     TcpLiteEndpoint,
     US,
@@ -314,7 +319,8 @@ def test_tap_sees_both_directions_and_rewrites_stick():
     payload = payload_bytes(4000, seed=12)
     seen = []
 
-    def tap(frame, direction, t_ns):
+    def tap(frame):
+        direction = "c2s" if frame.ip.src_ip == CLIENT_IP else "s2c"
         seen.append((direction, len(frame.tcp_payload)))
         if direction == "c2s" and frame.tcp_payload:
             return with_tcp_payload(frame, b"X" * len(frame.tcp_payload))
@@ -334,7 +340,7 @@ def test_tap_delay_slows_transfer_but_preserves_delivery():
     link = LinkModel(seed=17)
     plain = simulate_transfer(payload, link)
     tapped = simulate_transfer(
-        payload, link, tap=lambda f, d, t: f, tap_delay_ns=50 * US
+        payload, link, tap=lambda f: f, tap_delay_ns=50 * US
     )
     assert tapped.delivered == payload
     assert tapped.total_time_ns > plain.total_time_ns
@@ -402,3 +408,22 @@ def test_client_ip_constant_matches_frames():
     trace = simulate_transfer(payload_bytes(1000), LinkModel())
     syn = trace.events[0].frame
     assert syn.ip.src_ip == ipv4(CLIENT_IP)
+
+
+def test_each_direction_carries_its_own_endpoint_fields():
+    sender = TcpLiteEndpoint(isn=0x10000000, recv_buffer=8192)
+    receiver = TcpLiteEndpoint(isn=0x20000000, recv_buffer=2920)
+    trace = simulate_transfer(
+        payload_bytes(6000, seed=5), LinkModel(), sender=sender, receiver=receiver
+    )
+    for direction, ends in (
+        ("c2s", (CLIENT_IP, SERVER_IP, CLIENT_PORT, SERVER_PORT, CLIENT_MAC, SERVER_MAC, 8192)),
+        ("s2c", (SERVER_IP, CLIENT_IP, SERVER_PORT, CLIENT_PORT, SERVER_MAC, CLIENT_MAC, 2920)),
+    ):
+        frames = [e.frame for e in trace.events if e.direction == direction]
+        assert {
+            (f.ip.src_ip, f.ip.dst_ip, f.tcp.src_port, f.tcp.dst_port, f.data[6:12],
+             f.data[:6], f.tcp.window)
+            for f in frames
+        } == {ends}
+        assert [f.ip.identification for f in frames] == list(range(1, len(frames) + 1))

@@ -21,10 +21,9 @@ from netsteglab.wirecodec import (
     EthernetFrame,
     IP_FLAG_DF,
     IP_FLAG_MF,
-    Ipv4Header,
     PcapFile,
     PcapRecord,
-    TcpHeader,
+    TCP_NS,
     TruncatedFrame,
     TruncatedRecord,
     UnsupportedLinktype,
@@ -152,82 +151,83 @@ def test_crc_residue(data):
 
 
 # ---------------------------------------------------------------------------
-# header golden bytes (independent struct packing)
+# header views parsed from golden bytes (independent struct packing)
+
+ETH_IPV4 = b"\x02\x00\x00\x00\x00\x02" + b"\x02\x00\x00\x00\x00\x01" + struct.pack("!H", 0x0800)
+
+
+def _ipv4_bytes(total_length: int) -> bytes:
+    """A 20-byte DF IPv4 header from 1.2.3.4 to 5.6.7.8 carrying TCP."""
+    return struct.pack(
+        "!BBHHHBBHII", 0x45, 0, total_length, 1, 0b010 << 13, 64, 6, 0,
+        0x01020304, 0x05060708,
+    )
+
+
+def _tcp_bytes(word: int = (5 << 12) | 0x010) -> bytes:
+    """A 20-byte TCP header whose offset/reserved/flags word is ``word``."""
+    return struct.pack("!HHIIHHHH", 1, 2, 3, 4, word, 10, 0, 0)
 
 
 def test_ipv4_header_golden_bytes():
-    hdr = Ipv4Header(
-        version=4, ihl=5, tos=0x10, total_length=0x0234, identification=0xBEEF,
-        flags=0b010, frag_offset=0, ttl=63, protocol=6, header_checksum=0x1234,
-        src_ip=ipv4("192.168.0.1"), dst_ip=ipv4("10.1.2.3"),
-    )
-    expected = struct.pack(
+    wire = ETH_IPV4 + struct.pack(
         "!BBHHHBBHII",
         0x45, 0x10, 0x0234, 0xBEEF, (0b010 << 13) | 0, 63, 6, 0x1234,
         0xC0A80001, 0x0A010203,
+    ) + _tcp_bytes() + bytes(0x0234 - 40)
+    frame = parse_frame(wire)
+    assert frame.ip._asdict() == dict(
+        version=4, ihl=5, tos=0x10, total_length=0x0234, identification=0xBEEF,
+        flags=0b010, frag_offset=0, ttl=63, protocol=6, header_checksum=0x1234,
+        src_ip=ipv4("192.168.0.1"), dst_ip=ipv4("10.1.2.3"), options=b"",
     )
-    assert hdr.emit() == expected
+    assert frame.ip.header_len == 20
+    assert frame.emit() == wire
 
 
 def test_ipv4_flags_and_offset_packing():
-    hdr = Ipv4Header(
-        version=4, ihl=5, tos=0, total_length=20, identification=0,
-        flags=0b101, frag_offset=0x1EEF, ttl=64, protocol=6,
-        header_checksum=0, src_ip=0, dst_ip=0,
-    )
-    word = struct.unpack("!H", hdr.emit()[6:8])[0]
-    assert word == (0b101 << 13) | 0x1EEF == 0xBEEF
+    wire = ETH_IPV4 + struct.pack("!BBHHHBBHII", 0x45, 0, 20, 0, 0xBEEF, 64, 6, 0, 0, 0)
+    frame = parse_frame(wire)
+    assert (frame.ip.flags, frame.ip.frag_offset) == (0b101, 0x1EEF)
+    assert (frame.ip.flags << 13) | frame.ip.frag_offset == 0xBEEF
+    assert frame.tcp is None  # MF set and a nonzero offset: a fragment
 
 
 def test_tcp_header_golden_bytes_with_ns_bit():
-    hdr = TcpHeader(
-        src_port=0x1F90, dst_port=0x0050, seq=0x11223344, ack=0x55667788,
-        data_offset=5, flags=0x1FF, window=0xFFFF, checksum=0xABCD,
-        urgent_ptr=7,
-    )
-    expected = struct.pack(
+    tcp = struct.pack(
         "!HHIIHHHH",
         0x1F90, 0x0050, 0x11223344, 0x55667788,
         (5 << 12) | 0x1FF, 0xFFFF, 0xABCD, 7,
     )
-    assert hdr.emit() == expected
+    wire = ETH_IPV4 + _ipv4_bytes(40) + tcp
+    frame = parse_frame(wire)
+    assert frame.tcp._asdict() == dict(
+        src_port=0x1F90, dst_port=0x0050, seq=0x11223344, ack=0x55667788,
+        data_offset=5, flags=0x1FF, window=0xFFFF, checksum=0xABCD,
+        urgent_ptr=7, options=b"", reserved=0,
+    )
+    assert frame.tcp.flags & TCP_NS
+    assert frame.tcp.header_len == 20
+    assert frame.emit() == wire
 
 
 def test_tcp_reserved_bits_round_trip():
-    hdr = TcpHeader(
-        src_port=1, dst_port=2, seq=3, ack=4, data_offset=5,
-        flags=0x010, window=10, checksum=0, urgent_ptr=0, reserved=0b101,
-    )
-    word = struct.unpack("!H", hdr.emit()[12:14])[0]
-    assert word == (5 << 12) | (0b101 << 9) | 0x010
+    wire = ETH_IPV4 + _ipv4_bytes(40) + _tcp_bytes((5 << 12) | (0b101 << 9) | 0x010)
+    frame = parse_frame(wire)
+    assert (frame.tcp.data_offset, frame.tcp.reserved, frame.tcp.flags) == (5, 0b101, 0x010)
+    assert frame.emit() == wire
 
 
-def test_ipv4_rejects_out_of_range_fields():
-    with pytest.raises(ValueError):
-        Ipv4Header(
-            version=4, ihl=5, tos=0, total_length=20, identification=1 << 16,
-            flags=0, frag_offset=0, ttl=64, protocol=6, header_checksum=0,
-            src_ip=0, dst_ip=0,
-        )
-    with pytest.raises(ValueError):
-        Ipv4Header(
-            version=4, ihl=5, tos=0, total_length=20, identification=0,
-            flags=8, frag_offset=0, ttl=64, protocol=6, header_checksum=0,
-            src_ip=0, dst_ip=0,
-        )
+def test_header_views_are_read_only():
+    frame = parse_frame(ETH_IPV4 + _ipv4_bytes(40) + _tcp_bytes())
+    with pytest.raises(AttributeError):
+        frame.ip.ttl = 1
+    with pytest.raises(AttributeError):
+        frame.tcp.seq = 1
+    assert frame.ip.ttl == 64 and frame.tcp.seq == 3
 
 
-def test_tcp_header_and_frame_reject_bad_fields():
-    with pytest.raises(ValueError):
-        TcpHeader(
-            src_port=0, dst_port=0, seq=1 << 32, ack=0, data_offset=5,
-            flags=0, window=0, checksum=0, urgent_ptr=0,
-        )
-    with pytest.raises(ValueError):
-        TcpHeader(
-            src_port=0, dst_port=0, seq=0, ack=0, data_offset=6,
-            flags=0, window=0, checksum=0, urgent_ptr=0,  # options missing
-        )
+def test_frame_rejects_truncated_bytes():
     with pytest.raises(TruncatedFrame):
         EthernetFrame(b"\x00" * 13)  # shorter than the Ethernet header
     with pytest.raises(TruncatedFrame):
@@ -292,21 +292,17 @@ def test_frame_emit_parse_round_trip(seed, with_fcs):
 def test_parse_emit_is_byte_identity_on_foreign_bytes():
     # Frame bytes not produced by our builder: options and a trailer.
     ip_options = b"\x01\x01\x01\x00"  # NOP NOP NOP EOL
-    ip = Ipv4Header(
-        version=4, ihl=6, tos=0, total_length=24 + 20 + 5, identification=9,
-        flags=0b010, frag_offset=0, ttl=64, protocol=6, header_checksum=0,
-        src_ip=ipv4("1.2.3.4"), dst_ip=ipv4("5.6.7.8"), options=ip_options,
-    )
-    tcp = TcpHeader(
-        src_port=80, dst_port=1024, seq=1, ack=2, data_offset=5, flags=0x18,
-        window=100, checksum=0, urgent_ptr=0,
-    )
+    ip = struct.pack(
+        "!BBHHHBBHII", 0x46, 0, 24 + 20 + 5, 9, 0b010 << 13, 64, 6, 0,
+        ipv4("1.2.3.4"), ipv4("5.6.7.8"),
+    ) + ip_options
+    tcp = struct.pack("!HHIIHHHH", 80, 1024, 1, 2, (5 << 12) | 0x18, 100, 0, 0)
     payload = b"hello"
     trailer = b"\x00\x00\x00\x00\x00\x00\x00"  # pad below 64-byte minimum
     wire = (
         b"\xaa\xbb\xcc\xdd\xee\xff" + b"\x11\x22\x33\x44\x55\x66"
         + struct.pack("!H", 0x0800)
-        + ip.emit() + tcp.emit() + payload + trailer
+        + ip + tcp + payload + trailer
     )
     frame = parse_frame(wire)
     assert frame.emit() == wire
