@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from math import ceil
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -50,8 +51,10 @@ from .channels import (
 )
 from .interceptor import Interceptor, StegoPolicy, extract_from_file, report_csv
 from .netsim import (
+    CLIENT_IP,
     LinkModel,
     MS,
+    SERVER_IP,
     Stalled,
     TcpLiteEndpoint,
     WardenConfig,
@@ -389,7 +392,7 @@ def _carrier_frame(
     i: int, *, seq: int, payload: bytes = b"", flags: int = TCP_ACK, ttl: int = 64
 ) -> EthernetFrame:
     return build_tcp_frame(
-        src_ip="10.0.0.1", dst_ip="10.0.0.2",
+        src_ip=CLIENT_IP, dst_ip=SERVER_IP,
         src_port=40000, dst_port=8080,
         seq=seq, ack=0, flags=flags, payload=payload,
         ttl=ttl, ip_id=(i + 1) & 0xFFFF,
@@ -641,7 +644,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # argument parsing
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``stegctl`` parser, built once per process.
+
+    Parsing never changes it: each call gets a fresh ``Namespace``, and
+    ``_merge_config`` writes only to that.
+    """
     parser = argparse.ArgumentParser(
         prog="stegctl",
         description="network-steganography laboratory: simulate, embed, measure",

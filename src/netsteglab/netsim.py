@@ -153,10 +153,14 @@ def apply_warden(
     if cfg is None or cfg.mode == "passive":
         return frame
     out = frame
-    if "rewrite_ttl" in cfg.normalizations and out.ip is not None:
-        out = with_ip_fields(out, ttl=WARDEN_TTL)
-    if "randomize_ip_id" in cfg.normalizations and out.ip is not None:
-        out = with_ip_fields(out, identification=rng.randrange(1 << 16))
+    if out.ip is not None:
+        fields = {}
+        if "rewrite_ttl" in cfg.normalizations:
+            fields["ttl"] = WARDEN_TTL
+        if "randomize_ip_id" in cfg.normalizations:
+            fields["identification"] = rng.randrange(1 << 16)
+        if fields:
+            out = with_ip_fields(out, **fields)
     if cfg.mode == "malicious" and out.tcp is not None and out.tcp_payload:
         scrambled = bytes(b ^ rng.randrange(1, 256) for b in out.tcp_payload)
         out = with_tcp_payload(out, scrambled)

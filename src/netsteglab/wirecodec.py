@@ -49,6 +49,8 @@ TCP_CWR = 0x080
 TCP_NS = 0x100
 
 SEQ_MOD = 1 << 32
+# A TCP payload this long or longer overflows the 16-bit IPv4 total length.
+_MAX_TCP_PAYLOAD = (1 << 16) - IPV4_MIN_HEADER - TCP_MIN_HEADER
 
 _ETH = struct.Struct("!6s6sH")
 _IPV4 = struct.Struct("!BBHHHBBHII")
@@ -383,7 +385,9 @@ def with_ip_fields(frame: EthernetFrame, **fields) -> EthernetFrame:
 
     Only fixed-width fields may change (not ``options``/``ihl``), so the
     header length is stable and everything after it is untouched, except
-    the TCP checksum when a field of its pseudo-header changes.
+    the TCP checksum of a frame that comes out with a TCP view when a field
+    of its pseudo-header changes or the frame went in without one (a
+    fragment's pseudo-header may have changed since its checksum was made).
     """
     ip = frame.ip
     if ip is None:
@@ -399,7 +403,8 @@ def with_ip_fields(frame: EthernetFrame, **fields) -> EthernetFrame:
     header = fixed.to_bytes(IPV4_MIN_HEADER, "big") + ip.options
     header = _put16(header, _IP_CHECKSUM_AT, _ip_sum(header))
     out = _framed(data[:ETH_HEADER_LEN] + header, frame.payload[ip.header_len:], frame.has_fcs)
-    if out.tcp is not None and not _PSEUDO_FIELDS.isdisjoint(fields):
+    repair = frame.tcp is None or not _PSEUDO_FIELDS.isdisjoint(fields)
+    if out.tcp is not None and repair:
         return with_tcp_payload(out, out.tcp_payload)
     return out
 
@@ -427,8 +432,14 @@ def strip_fcs(frame: EthernetFrame) -> EthernetFrame:
 
 
 def ipv4(address: Union[str, int]) -> int:
-    """Dotted-quad string (or pass-through int) to a 32-bit address."""
+    """Dotted-quad string (or pass-through int) to a 32-bit address.
+
+    Each octet is written as 1-3 ASCII digits with no leading zero, the form
+    ``ipaddress.IPv4Address`` accepts; ``bool`` is not an address.
+    """
     if isinstance(address, int):
+        if isinstance(address, bool):
+            raise ValueError(f"not an address: {address!r}")
         _check_range("address", address, 32)
         return address
     parts = address.split(".")
@@ -437,7 +448,11 @@ def ipv4(address: Union[str, int]) -> int:
     value = 0
     for part in parts:
         octet = int(part)
-        _check_range("octet", octet, 8)
+        if not 0 <= octet < 1 << 8:
+            _check_range("octet", octet, 8)
+        # int() also reads "+1", " 1", "1_0", "01" and non-ASCII digits.
+        if str(octet) != part:
+            raise ValueError(f"not a dotted quad: {address!r}")
         value = (value << 8) | octet
     return value
 
@@ -468,19 +483,33 @@ def build_tcp_frame(
     with_fcs: bool = False,
 ) -> EthernetFrame:
     """Assemble a checksummed TCP/IPv4/Ethernet frame from field values."""
-    if len(dst_mac) != 6 or len(src_mac) != 6:
-        raise ValueError("MAC addresses must be 6 bytes")
-    total_length = IPV4_MIN_HEADER + TCP_MIN_HEADER + len(payload)
-    for name, value, bits in (
-        ("src_port", src_port, 16), ("dst_port", dst_port, 16), ("flags", flags, 9),
-        ("window", window, 16), ("urgent_ptr", urgent_ptr, 16), ("tos", tos, 8),
-        ("total_length", total_length, 16), ("ip_id", ip_id, 16),
-        ("ip_flags", ip_flags, 3), ("frag_offset", frag_offset, 13), ("ttl", ttl, 8),
+    # One guard, in the order of the checks below, which run only when it
+    # fails so that the error names the first bad argument.
+    if not (
+        len(dst_mac) == 6 and len(src_mac) == 6 and len(payload) < _MAX_TCP_PAYLOAD
+        and 0 <= src_port < 1 << 16 and 0 <= dst_port < 1 << 16 and 0 <= flags < 1 << 9
+        and 0 <= window < 1 << 16 and 0 <= urgent_ptr < 1 << 16 and 0 <= tos < 1 << 8
+        and 0 <= ip_id < 1 << 16 and 0 <= ip_flags < 1 << 3
+        and 0 <= frag_offset < 1 << 13 and 0 <= ttl < 1 << 8
     ):
-        _check_range(name, value, bits)
+        if len(dst_mac) != 6 or len(src_mac) != 6:
+            raise ValueError("MAC addresses must be 6 bytes")
+        for name, value, bits in (
+            ("src_port", src_port, 16), ("dst_port", dst_port, 16), ("flags", flags, 9),
+            ("window", window, 16), ("urgent_ptr", urgent_ptr, 16), ("tos", tos, 8),
+            ("total_length", IPV4_MIN_HEADER + TCP_MIN_HEADER + len(payload), 16),
+            ("ip_id", ip_id, 16),
+            ("ip_flags", ip_flags, 3), ("frag_offset", frag_offset, 13), ("ttl", ttl, 8),
+        ):
+            _check_range(name, value, bits)
+    if type(src_ip) is not int or not 0 <= src_ip < 1 << 32:
+        src_ip = ipv4(src_ip)
+    if type(dst_ip) is not int or not 0 <= dst_ip < 1 << 32:
+        dst_ip = ipv4(dst_ip)
+    total_length = IPV4_MIN_HEADER + TCP_MIN_HEADER + len(payload)
     ip_header = _IPV4.pack(
         0x45, tos, total_length, ip_id, (ip_flags << 13) | frag_offset, ttl, PROTO_TCP,
-        0, ipv4(src_ip), ipv4(dst_ip),
+        0, src_ip, dst_ip,
     )
     ip_header = _put16(ip_header, _IP_CHECKSUM_AT, _ip_sum(ip_header))
     tcp_header = _TCP.pack(

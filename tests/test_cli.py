@@ -18,11 +18,12 @@ import pytest
 
 from netsteglab.bmp import make_bmp, parse_bmp_info
 from netsteglab.channels import BitMessage
-from netsteglab.cli import main
+from netsteglab.cli import CHANNELS, _build_parser, main
 from netsteglab.interceptor import StegoPolicy, extract_from_file
 from netsteglab.wirecodec import (
     SEQ_MOD,
     fcs_ok,
+    ipv4,
     ipv4_checksum_ok,
     parse_frame,
     read_pcap,
@@ -161,6 +162,43 @@ def test_config_rejects_malformed_line(capsys, tmp_path):
     code, _, err = run(["capacity", "--config", cfg], capsys)
     assert code == 2
     assert "key = value" in err
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_argparse_error_then_valid_call_succeeds(capsys):
+    code, _, err = run(["classify", "--no-such-flag"], capsys)
+    assert code == 2
+    assert "--no-such-flag" in err
+    code, out, _ = run(["classify", "--states", "dim"], capsys)
+    assert code == 0
+    assert "Class IV (RT-NDS)" in out
+
+
+def test_config_values_do_not_leak_into_a_later_call(capsys, tmp_path):
+    cfg = tmp_path / "runtime.cfg"
+    cfg.write_text("locus = runtime\nseed = 4\n")
+    code, with_config, _ = run(["classify", "--states", "dim", "--config", cfg], capsys)
+    assert code == 0
+    code, without, _ = run(["classify", "--states", "dim"], capsys)
+    assert code == 0
+    assert "locus=application-runtime" in with_config
+    assert "locus=in-transit" in without and "Class IV (RT-NDS)" in without
+    args = _build_parser().parse_args(["transfer"])
+    assert args.seed is None and args.config is None
+
+
+def test_help_returns_zero_every_time(capsys):
+    for argv in (["--help"], ["transfer", "--help"], ["--help"]):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert "stegctl" in out
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +398,21 @@ def test_cli_http_order_round_trip(capsys, tmp_path):
     )
     assert "bits: 00111100" in out
     assert "bit errors: 0/8" in out
+
+
+@pytest.mark.parametrize("channel", CHANNELS)
+def test_cli_channel_carriers_flow_from_client_to_server(capsys, tmp_path, channel):
+    pcap = tmp_path / f"{channel}.pcap"
+    code, _, _ = run(
+        ["channel", "encode", "--channel", channel, "--message", "5a", "--out", pcap],
+        capsys,
+    )
+    assert code == 0
+    frames = [parse_frame(r.frame_bytes) for r in read_pcap(str(pcap)).records]
+    assert frames
+    for frame in frames:
+        assert (frame.ip.src_ip, frame.ip.dst_ip) == (ipv4("10.0.0.1"), ipv4("10.0.0.2"))
+        assert (frame.tcp.src_port, frame.tcp.dst_port) == (40000, 8080)
 
 
 def test_cli_empty_message_writes_empty_pcap(capsys, tmp_path):

@@ -23,6 +23,7 @@ from netsteglab.netsim import (
     Stalled,
     TcpLiteEndpoint,
     US,
+    WARDEN_TTL,
     WardenConfig,
     apply_warden,
     deliver_schedule,
@@ -38,6 +39,7 @@ from netsteglab.wirecodec import (
     fcs_ok,
     ipv4,
     tcp_checksum_ok,
+    with_ip_fields,
     with_tcp_payload,
 )
 
@@ -265,6 +267,24 @@ def test_active_randomize_ip_id():
     expected = random.Random(123).randrange(1 << 16)
     assert out.ip.identification == expected
     assert tcp_checksum_ok(out) and fcs_ok(out)
+
+
+@pytest.mark.parametrize("mode", ["active", "malicious"])
+def test_warden_writes_both_normalizations_as_two_rewrites_would(mode):
+    frame = _sample_frame(ttl=37, ip_id=5)
+    cfg = WardenConfig(mode=mode, normalizations={"rewrite_ttl", "randomize_ip_id"})
+    rng = random.Random(77)
+    out = apply_warden(frame, cfg, rng)
+    # Reference: one rewrite per normalization, in the order they are listed.
+    ref_rng = random.Random(77)
+    ref = with_ip_fields(frame, ttl=WARDEN_TTL)
+    ref = with_ip_fields(ref, identification=ref_rng.randrange(1 << 16))
+    if mode == "malicious":
+        ref = with_tcp_payload(
+            ref, bytes(b ^ ref_rng.randrange(1, 256) for b in ref.tcp_payload)
+        )
+    assert (out.data, out.has_fcs) == (ref.data, ref.has_fcs)
+    assert rng.getstate() == ref_rng.getstate()
 
 
 def test_malicious_scrambles_every_payload_byte():

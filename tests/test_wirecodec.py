@@ -234,31 +234,45 @@ def test_frame_rejects_truncated_bytes():
         EthernetFrame(b"\x00" * 17, has_fcs=True)  # header plus FCS needs 18 bytes
 
 
+_OUT_OF_RANGE = [
+    ({"src_port": 65536}, "src_port"),
+    ({"dst_port": -1}, "dst_port"),
+    ({"ttl": 256}, "ttl"),
+    ({"window": -1}, "window"),
+    ({"urgent_ptr": 1 << 16}, "urgent_ptr"),
+    ({"flags": 1 << 9}, "flags"),
+    ({"ip_id": 1 << 16}, "ip_id"),
+    ({"ip_flags": 8}, "ip_flags"),
+    ({"frag_offset": 1 << 13}, "frag_offset"),
+    ({"tos": 256}, "tos"),
+    ({"src_ip": "256.0.0.1"}, "octet"),
+    ({"dst_ip": 1 << 32}, "address"),
+    ({"src_mac": b"\x02\x00\x00\x00\x01"}, "MAC"),
+    ({"dst_mac": b"\x02\x00\x00\x00\x00\x00\x02", "with_fcs": True}, "MAC"),
+    ({"payload": bytes(65536 - 40)}, "total_length"),  # total length past 16 bits
+    ({"src_ip": -1}, "address"),
+    ({"src_ip": 1 << 32}, "address"),
+    ({"dst_ip": -1}, "address"),
+]
+
+
 @pytest.mark.parametrize(
-    "bad",
-    [
-        {"src_port": 65536},
-        {"dst_port": -1},
-        {"ttl": 256},
-        {"window": -1},
-        {"urgent_ptr": 1 << 16},
-        {"flags": 1 << 9},
-        {"ip_id": 1 << 16},
-        {"ip_flags": 8},
-        {"frag_offset": 1 << 13},
-        {"tos": 256},
-        {"src_ip": "256.0.0.1"},
-        {"dst_ip": 1 << 32},
-        {"src_mac": b"\x02\x00\x00\x00\x01"},
-        {"dst_mac": b"\x02\x00\x00\x00\x00\x00\x02", "with_fcs": True},
-        {"payload": bytes(65536 - 40)},  # total length past 16 bits
-    ],
+    "bad, match", _OUT_OF_RANGE, ids=[f"bad{i}" for i in range(len(_OUT_OF_RANGE))]
 )
-def test_build_tcp_frame_rejects_out_of_range_arguments(bad):
+def test_build_tcp_frame_rejects_out_of_range_arguments(bad, match):
     args = dict(src_ip="1.1.1.1", dst_ip="2.2.2.2", src_port=1, dst_port=2, seq=0)
     args.update(bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"^{match}\b"):
         build_tcp_frame(**args)
+
+
+def test_build_tcp_frame_names_the_first_bad_argument():
+    with pytest.raises(ValueError, match="^MAC "):
+        build_tcp_frame(src_ip=1, dst_ip=2, src_port=-1, dst_port=2, seq=0, src_mac=b"")
+    with pytest.raises(ValueError, match="^src_port "):
+        build_tcp_frame(src_ip=1, dst_ip=2, src_port=-1, dst_port=2, seq=0, ttl=256)
+    with pytest.raises(ValueError, match="^ttl "):
+        build_tcp_frame(src_ip=-1, dst_ip=2, src_port=1, dst_port=2, seq=0, ttl=256)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +591,10 @@ def _assert_views_match_parser(frame: EthernetFrame) -> None:
 @example(seed=2, with_fcs=False, changes=[("frag_offset", 5), ("frag_offset", 0)])
 @example(seed=3, with_fcs=True, changes=[("protocol", 17), ("protocol", 6)])
 @example(seed=4, with_fcs=True, changes=[("total_length", 40)])
+# A pseudo-header field changed while the frame is a fragment, then it is whole again.
+@example(
+    seed=0, with_fcs=False, changes=[("flags", IP_FLAG_MF), ("dst_ip", 0), ("flags", 0)]
+)
 def test_mutators_give_the_views_the_parser_gives(seed, with_fcs, changes):
     rng = random.Random(seed)
     frame = _random_frame(rng, with_fcs=with_fcs)
@@ -635,6 +653,31 @@ def test_ipv4_conversions():
         ipv4("256.0.0.1")
     with pytest.raises(ValueError):
         ipv4("1.2.3")
+    assert ipv4("0.0.0.0") == 0
+    assert ipv4("255.255.255.255") == 0xFFFFFFFF
+    assert ipv4("100.20.3.0") == 0x64140300
+
+
+@pytest.mark.parametrize(
+    "address",
+    [
+        "1_0.0.0.1",  # digit separator
+        "+10.0.0.1",  # sign
+        "10.0.0.-0",
+        " 10.0.0.1",  # surrounding whitespace
+        "10.0.0.1 ",
+        "10.0.0.1\n",
+        "\uff11\uff10.0.0.1",  # full-width digits
+        "10.0.0.01",  # leading zero
+        "010.0.0.1",
+        "10.0.0.0001",
+        True,
+        False,
+    ],
+)
+def test_ipv4_rejects_non_canonical_forms(address):
+    with pytest.raises(ValueError, match="not a"):
+        ipv4(address)
 
 
 # ---------------------------------------------------------------------------
