@@ -18,8 +18,7 @@ MS = 1_000_000
 def describe(label, trace):
     kinds = Counter(e.kind for e in trace.events)
     print(f"  {label}:")
-    print(f"    completed: {trace.completed}, "
-          f"total time {trace.total_time_ns / MS:.2f} ms, "
+    print(f"    total time {trace.total_time_ns / MS:.2f} ms, "
           f"max in flight {trace.max_in_flight} B")
     print(f"    events: " + ", ".join(
         f"{k}={kinds[k]}" for k in ("syn", "synack", "data", "ack",

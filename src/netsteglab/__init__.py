@@ -47,7 +47,6 @@ from .interceptor import (
     carrier_slices,
     embed_in_frame,
     extract_from_file,
-    process_stream,
 )
 from .analytics import (
     DataState,
@@ -75,7 +74,7 @@ __all__ = [
     "LinkModel", "Stalled", "TcpLiteEndpoint", "TransferTrace",
     "WardenConfig", "simulate_transfer",
     "FlowKey", "FlowState", "Interceptor", "StegoPolicy", "carrier_offsets",
-    "carrier_slices", "embed_in_frame", "extract_from_file", "process_stream",
+    "carrier_slices", "embed_in_frame", "extract_from_file",
     "DataState", "ModificationLocus", "StegoClass", "TaxonomyInput",
     "audio_capacity", "classify_taxonomy", "covert_channel_yield",
     "exfil_projection", "lsb_capacity", "overhead_report",

@@ -33,7 +33,6 @@ __all__ = [
     "covert_channel_yield",
     "ExfilProjection",
     "exfil_projection",
-    "IncompleteTrace",
     "OverheadReport",
     "overhead_report",
     "ImageSpec",
@@ -231,10 +230,6 @@ def exfil_projection(bytes_per_packet: int, packets_per_day: int) -> ExfilProjec
 # overhead
 
 
-class IncompleteTrace(Exception):
-    """A transfer trace without a completed delivery cannot be compared."""
-
-
 @dataclass(frozen=True)
 class OverheadReport:
     direct_ms: float
@@ -251,10 +246,8 @@ class OverheadReport:
         return self.stego_ms / self.direct_ms
 
 
-def _as_ms(value: Union[TransferTrace, int, float], role: str) -> float:
+def _as_ms(value: Union[TransferTrace, int, float]) -> float:
     if isinstance(value, TransferTrace):
-        if not value.completed or value.total_time_ns is None:
-            raise IncompleteTrace(f"{role} trace did not complete")
         return value.total_time_ns / 1e6
     return float(value)
 
@@ -264,10 +257,10 @@ def overhead_report(
 ) -> OverheadReport:
     """Transfer-time overhead of an intercepted run over a direct run.
 
-    Accepts completed :class:`~netsteglab.netsim.TransferTrace` objects or
+    Accepts :class:`~netsteglab.netsim.TransferTrace` objects or
     plain millisecond values (for comparing recorded measurements).
     """
-    return OverheadReport(_as_ms(direct, "direct"), _as_ms(stego, "stego"))
+    return OverheadReport(_as_ms(direct), _as_ms(stego))
 
 
 # ---------------------------------------------------------------------------

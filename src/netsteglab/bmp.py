@@ -49,10 +49,6 @@ class BmpInfo:
         return (self.width * self.bytes_per_pixel + 3) // 4 * 4
 
     @property
-    def row_data_bytes(self) -> int:
-        return self.width * self.bytes_per_pixel
-
-    @property
     def pixel_data_end(self) -> int:
         return self.pixel_offset + self.height * self.row_stride
 

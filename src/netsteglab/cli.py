@@ -13,19 +13,20 @@ Subcommands:
 * ``classify``     — place a technique in the four-class taxonomy.
 
 Every command is deterministic given ``--seed``.  ``--config`` names a
-``key = value`` text file holding the same settings as the flags; flags
-win over config values.  Exit codes: 0 success, 1 runtime error, 2 usage
-error.
+``key = value`` text file whose keys are flag destinations; its lines are
+parsed as the command's own flags, ahead of the explicit ones, which win.
+Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from functools import cache
 from math import ceil
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from . import analytics
 from .bmp import BmpError, make_bmp, parse_bmp_info
@@ -54,6 +55,7 @@ from .netsim import (
     CLIENT_IP,
     LinkModel,
     MS,
+    NORMALIZATIONS,
     SERVER_IP,
     Stalled,
     TcpLiteEndpoint,
@@ -79,6 +81,9 @@ from .wirecodec import (
 CHANNELS = ("ip-storage", "ttl", "isn", "timing", "order", "http-order")
 WARDEN_CHOICES = ("none", "passive", "active", "malicious")
 FRAME_GAP_NS = 1 * MS  # pcap spacing for channels that do not encode in time
+# --width, --height and --bpp of the synthetic carrier when none is given;
+# the flags default to None so that giving one beside --image is an error.
+SYNTHETIC_CARRIER = (512, 512, 24)
 
 _HEADER_VALUES = {
     "Host": "example.test",
@@ -95,28 +100,21 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
-_INT_KEYS = {
-    "seed", "mss", "width", "height", "bpp", "k", "hops", "n_bits",
-    "keystream_seed", "length",
-}
-_FLOAT_KEYS = {
-    "tp_ms", "tnp_us", "loss", "reorder", "jitter_ms", "tap_us",
-    "gap_ms", "delta_ms", "threshold_ms",
-}
-_STR_KEYS = {
-    "out_dir", "warden", "normalize", "channel", "message", "bits", "image",
-    "headers", "expect", "states", "locus", "in_path", "out_path",
-    "coverage",  # StegoPolicy parses "0.3" and "3/10" alike
-}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
+def _config_argv(args: argparse.Namespace) -> List[str]:
+    """The ``--config`` file's ``key = value`` lines as flags of ``args.command``.
 
-def _load_config(path: str) -> Dict[str, object]:
+    A key is a flag's destination, written with ``-`` or ``_``; a key that
+    only another command takes is ignored.
+    """
+    path = args.config
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"config: cannot read {path}: {exc}") from None
-    values: Dict[str, object] = {}
+    own = args.config_flags[args.command]
+    known = set().union(*args.config_flags.values())
+    argv = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -125,35 +123,32 @@ def _load_config(path: str) -> Dict[str, object]:
             raise UsageError(f"config {path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        value = value.strip()
-        if key not in _ALL_KEYS:
+        if key in own:
+            argv.append(f"{own[key]}={value.strip()}")
+        elif key not in known:
             raise UsageError(f"config {path}:{lineno}: unknown key {key!r}")
-        try:
-            if key in _INT_KEYS:
-                values[key] = int(value, 0)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            else:
-                values[key] = value
-        except ValueError:
-            raise UsageError(
-                f"config {path}:{lineno}: bad value {value!r} for {key}"
-            ) from None
-    return values
+    return argv
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset (None) argument slots from the config file; flags win."""
-    if getattr(args, "config", None) is None:
-        return
-    for key, value in _load_config(args.config).items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """Parse ``argv``; a ``--config`` file's settings go ahead of its flags.
+
+    Argparse keeps the last value given, so explicit flags win.
+    """
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    return parser.parse_args(argv[:1] + _config_argv(args) + argv[1:])
 
 
-def _pick(args: argparse.Namespace, key: str, default):
-    value = getattr(args, key, None)
-    return default if value is None else value
+@contextmanager
+def _bad_setting() -> Iterator[None]:
+    """Report a setting the library rejects as a usage error."""
+    try:
+        yield
+    except (ValueError, CovertChannelError) as exc:
+        raise UsageError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +161,9 @@ def _policy_from(args: argparse.Namespace, default_message: Optional[str] = None
     ]
     if len(sources) > 1:
         raise UsageError("give at most one of --message, --bits, --keystream-seed")
-    try:
+    with _bad_setting():
         if args.keystream_seed is not None:
-            return StegoPolicy(
-                keystream_seed=args.keystream_seed, coverage=_pick(args, "coverage", 1.0)
-            )
+            return StegoPolicy(keystream_seed=args.keystream_seed, coverage=args.coverage)
         if args.bits is not None:
             message = BitMessage.from01(args.bits)
         elif args.message is not None:
@@ -179,48 +172,38 @@ def _policy_from(args: argparse.Namespace, default_message: Optional[str] = None
             message = BitMessage.from_hex(default_message)
         else:
             raise UsageError("a message is required (--message, --bits or --keystream-seed)")
-        return StegoPolicy(message=message, coverage=_pick(args, "coverage", 1.0))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        return StegoPolicy(message=message, coverage=args.coverage)
 
 
 def _message_from(args: argparse.Namespace) -> BitMessage:
     if args.message is not None and args.bits is not None:
         raise UsageError("give at most one of --message, --bits")
-    try:
+    with _bad_setting():
         if args.bits is not None:
             return BitMessage.from01(args.bits)
         if args.message is not None:
             return BitMessage.from_hex(args.message)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     raise UsageError("a message is required (--message or --bits)")
 
 
 def _link_from(args: argparse.Namespace, seed: int) -> LinkModel:
-    try:
+    with _bad_setting():
         return LinkModel(
-            propagation_ms=_pick(args, "tp_ms", 10.0),
-            processing_us=_pick(args, "tnp_us", 50.0),
-            jitter_ms=_pick(args, "jitter_ms", 0.0),
-            loss_rate=_pick(args, "loss", 0.0),
-            reorder_rate=_pick(args, "reorder", 0.0),
+            propagation_ms=args.tp_ms,
+            processing_us=args.tnp_us,
+            jitter_ms=args.jitter_ms,
+            loss_rate=args.loss,
+            reorder_rate=args.reorder,
             seed=seed,
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _warden_from(args: argparse.Namespace) -> Optional[WardenConfig]:
-    mode = _pick(args, "warden", "none")
-    if mode == "none":
+    if args.warden == "none":
         return None
-    norms = _pick(args, "normalize", "")
-    names = frozenset(n.strip() for n in norms.split(",") if n.strip())
-    try:
-        return WardenConfig(mode=mode, normalizations=names)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    names = frozenset(n.strip() for n in args.normalize.split(",") if n.strip())
+    with _bad_setting():
+        return WardenConfig(mode=args.warden, normalizations=names)
 
 
 def _require_seed(args: argparse.Namespace) -> int:
@@ -230,7 +213,7 @@ def _require_seed(args: argparse.Namespace) -> int:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(_pick(args, "out_dir", "."))
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -241,10 +224,8 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def cmd_transfer(args: argparse.Namespace) -> int:
     seed = _require_seed(args)
-    synthetic = [
-        k for k in ("width", "height", "bpp") if getattr(args, k, None) is not None
-    ]
-    if args.image is not None and synthetic:
+    synthetic = (args.width, args.height, args.bpp)
+    if args.image is not None and synthetic != (None, None, None):
         raise UsageError("exactly one carrier source: --image or --width/--height/--bpp")
     if args.image is not None:
         path = Path(args.image)
@@ -254,31 +235,26 @@ def cmd_transfer(args: argparse.Namespace) -> int:
         parse_bmp_info(payload)  # fail fast with a clear diagnostic
         carrier_name = path.name
     else:
-        width = _pick(args, "width", 512)
-        height = _pick(args, "height", 512)
-        bpp = _pick(args, "bpp", 24)
-        try:
+        width, height, bpp = (
+            default if value is None else value
+            for value, default in zip(synthetic, SYNTHETIC_CARRIER)
+        )
+        with _bad_setting():
             payload = make_bmp(width, height, bpp)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
         carrier_name = f"synthetic-{width}x{height}x{bpp // 8}"
 
     policy = _policy_from(args, default_message="c0de")
     link = _link_from(args, seed)
     warden = _warden_from(args)
-    mss = _pick(args, "mss", 1460)
-    tap_delay_ns = round(_pick(args, "tap_us", 50.0) * 1000)
-    try:
-        sender = TcpLiteEndpoint(isn=0x10000000, mss=mss)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    with _bad_setting():
+        sender = TcpLiteEndpoint(isn=0x10000000, mss=args.mss)
     out = _out_dir(args)
 
     direct = simulate_transfer(payload, link, sender=sender, warden=warden)
     interceptor = Interceptor(policy)
     stego = simulate_transfer(
         payload, link, sender=sender, warden=warden,
-        tap=interceptor.process, tap_delay_ns=tap_delay_ns,
+        tap=interceptor.process, tap_delay_ns=round(args.tap_us * 1000),
     )
 
     write_pcap(str(out / "direct.pcap"), trace_to_pcap(direct))
@@ -305,7 +281,7 @@ def cmd_transfer(args: argparse.Namespace) -> int:
         match = False
 
     report = analytics.overhead_report(direct, stego)
-    profile = analytics.transfer_frame_profile(len(payload), mss=mss)
+    profile = analytics.transfer_frame_profile(len(payload), mss=args.mss)
     row = analytics.OverheadRow(
         name=carrier_name,
         size_kb=round(len(payload) / 1024),
@@ -408,33 +384,26 @@ def _frames_to_pcap(frames: Sequence[EthernetFrame], times_ns: Sequence[int]) ->
 
 
 def _ttl_config(args: argparse.Namespace) -> TtlConfig:
-    try:
-        return TtlConfig(k=_pick(args, "k", 3), hop_count=_pick(args, "hops", 0))
-    except (ValueError, CovertChannelError) as exc:
-        raise UsageError(str(exc)) from None
+    with _bad_setting():
+        return TtlConfig(k=args.k, hop_count=args.hops)
 
 
 def _timing_config(args: argparse.Namespace) -> TimingConfig:
-    threshold = getattr(args, "threshold_ms", None)
-    try:
+    threshold = args.threshold_ms
+    with _bad_setting():
         return TimingConfig(
-            nominal_gap_ns=round(_pick(args, "gap_ms", 200.0) * MS),
-            delta_ns=round(_pick(args, "delta_ms", 100.0) * MS),
+            nominal_gap_ns=round(args.gap_ms * MS),
+            delta_ns=round(args.delta_ms * MS),
             decision_threshold_ns=None if threshold is None else round(threshold * MS),
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _http_config(args: argparse.Namespace) -> HttpHeaderConfig:
-    headers = _pick(args, "headers", None)
-    try:
-        if headers is None:
-            return HttpHeaderConfig()
-        names = tuple(h.strip() for h in headers.split(",") if h.strip())
+    if args.headers is None:
+        return HttpHeaderConfig()
+    names = tuple(h.strip() for h in args.headers.split(",") if h.strip())
+    with _bad_setting():
         return HttpHeaderConfig(header_set=names)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _render_http_request(ordering: Sequence[str]) -> bytes:
@@ -458,7 +427,6 @@ def _encode_channel(args: argparse.Namespace) -> int:
     if args.out_path is None:
         raise UsageError("channel encode needs --out")
     message = _message_from(args)
-    seed = _pick(args, "seed", 0)
     channel = args.channel
     if len(message) == 0:
         write_pcap(args.out_path, PcapFile(records=()))
@@ -479,16 +447,14 @@ def _encode_channel(args: argparse.Namespace) -> int:
         frames = ttl_encode(message, carriers, cfg)
         times = [i * FRAME_GAP_NS for i in range(len(frames))]
     elif channel == "isn":
-        n_bits = _pick(args, "n_bits", 8)
+        n_bits = args.n_bits
         chunks = ceil(len(message) / n_bits)
         padded = message + BitMessage([0] * (chunks * n_bits - len(message)))
         frames = []
         for i in range(chunks):
             chunk = padded[n_bits * i:n_bits * (i + 1)]
-            try:
-                isn = isn_encode(chunk, n_bits, f"{seed}/isn/{i}")
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
+            with _bad_setting():
+                isn = isn_encode(chunk, n_bits, f"{args.seed}/isn/{i}")
             frames.append(_carrier_frame(i, seq=isn, flags=TCP_SYN))
         times = [i * FRAME_GAP_NS for i in range(len(frames))]
     elif channel == "timing":
@@ -535,9 +501,8 @@ def _decode_channel(args: argparse.Namespace) -> int:
     elif channel == "ttl":
         bits = ttl_decode(frames, _ttl_config(args))
     elif channel == "isn":
-        n_bits = _pick(args, "n_bits", 8)
         bits = BitMessage.concat(
-            isn_decode(frame.tcp.seq, n_bits)
+            isn_decode(frame.tcp.seq, args.n_bits)
             for frame in frames
             if frame.tcp is not None and frame.tcp.flags & TCP_SYN
         )
@@ -566,10 +531,8 @@ def _decode_channel(args: argparse.Namespace) -> int:
     print(f"bits: {bits.to01()}")
     print(f"hex: {bits.packed_hex()}")
     if args.expect is not None:
-        try:
+        with _bad_setting():
             expected = BitMessage.from_hex(args.expect)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
         n = min(len(bits), len(expected))
         errors = bits.bit_errors(expected)
         rate = errors / n if n else 0.0
@@ -595,8 +558,7 @@ def cmd_channel(args: argparse.Namespace) -> int:
 
 def cmd_capacity(args: argparse.Namespace) -> int:
     print(analytics.render_capacity_table(), end="")
-    out_dir = getattr(args, "out_dir", None)
-    if out_dir is not None:
+    if args.out_dir is not None:
         out = _out_dir(args)
         (out / "capacity.csv").write_text(analytics.capacity_table_csv())
     return 0
@@ -616,24 +578,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.states is None:
         raise UsageError("classify needs --states (comma-separated: dar,dim,diu)")
     names = [s.strip().lower() for s in args.states.split(",") if s.strip()]
-    states = set()
+    known = {state.value: state for state in analytics.DataState}
     for name in names:
-        try:
-            states.add(analytics.DataState(name))
-        except ValueError:
-            raise UsageError(
-                f"unknown data state {name!r}; choose from dar, dim, diu"
-            ) from None
-    locus_name = _pick(args, "locus", "transit")
-    locus = _LOCUS_ALIASES.get(locus_name.strip().lower())
+        if name not in known:
+            raise UsageError(f"unknown data state {name!r}; choose from dar, dim, diu")
+    locus = _LOCUS_ALIASES.get(args.locus.strip().lower())
     if locus is None:
         raise UsageError(
-            f"unknown locus {locus_name!r}; choose from pre-transit, transit, runtime"
+            f"unknown locus {args.locus!r}; choose from pre-transit, transit, runtime"
         )
-    try:
-        inp = analytics.TaxonomyInput(frozenset(states), locus)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    with _bad_setting():
+        inp = analytics.TaxonomyInput(frozenset(known[name] for name in names), locus)
     result = analytics.classify_taxonomy(inp)
     state_names = ",".join(sorted(s.value for s in inp.data_states))
     print(f"states={state_names} locus={locus.value} -> {result.label}")
@@ -648,113 +603,112 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     """The ``stegctl`` parser, built once per process.
 
-    Parsing never changes it: each call gets a fresh ``Namespace``, and
-    ``_merge_config`` writes only to that.
+    Parsing never changes it: each call gets a fresh ``Namespace``.  Each
+    namespace carries ``config_flags``, every command's ``{dest: flag}``
+    table, through which config keys become flags.
     """
     parser = argparse.ArgumentParser(
         prog="stegctl",
         description="network-steganography laboratory: simulate, embed, measure",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config_flags: Dict[str, Dict[str, str]] = {}
+    parser.set_defaults(config_flags=config_flags)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=None, help="run seed (reproducibility)")
-        p.add_argument("--config", default=None, help="key = value settings file")
-        p.add_argument("--out-dir", dest="out_dir", default=None, help="artifact directory")
+    def command(name: str, func, summary: str, **defaults):
+        """Add a subcommand; return an ``add_argument`` that records its flags."""
+        p = sub.add_parser(name, help=summary)
+        flags = config_flags[name] = {}
 
-    def policy_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--message", default=None, help="covert message as hex digits")
-        p.add_argument("--bits", default=None, help="covert message as a 0/1 string")
-        p.add_argument("--keystream-seed", dest="keystream_seed", type=int, default=None,
-                       help="embed a seeded keystream instead of a message")
-        p.add_argument("--coverage", default=None,
-                       help="fraction of carrier bytes to use, as 0.3 or 3/10 (default 1)")
+        def arg(*names: str, **kwargs) -> None:
+            action = p.add_argument(*names, **kwargs)
+            if action.option_strings:
+                flags[action.dest] = action.option_strings[0]
 
-    p = sub.add_parser("transfer", help="simulate direct vs intercepted BMP transfer")
-    common(p)
-    policy_args(p)
-    p.add_argument("--image", default=None, help="BMP file to transfer")
-    p.add_argument("--width", type=int, default=None, help="synthetic carrier width")
-    p.add_argument("--height", type=int, default=None, help="synthetic carrier height")
-    p.add_argument("--bpp", type=int, default=None, help="synthetic carrier depth (8 or 24)")
-    p.add_argument("--mss", type=int, default=None, help="TCP segment payload size (default 1460)")
-    p.add_argument("--tp-ms", dest="tp_ms", type=float, default=None,
-                   help="one-way propagation delay, ms (default 10)")
-    p.add_argument("--tnp-us", dest="tnp_us", type=float, default=None,
-                   help="nodal processing time, us (default 50)")
-    p.add_argument("--loss", type=float, default=None, help="frame loss rate [0,1)")
-    p.add_argument("--reorder", type=float, default=None, help="adjacent reorder rate [0,1]")
-    p.add_argument("--jitter-ms", dest="jitter_ms", type=float, default=None,
-                   help="uniform +/- jitter, ms")
-    p.add_argument("--warden", choices=WARDEN_CHOICES, default=None,
-                   help="warden mode (default none)")
-    p.add_argument("--normalize", default=None,
-                   help="comma list: rewrite_ttl,randomize_ip_id,smooth_timing")
-    p.add_argument("--tap-us", dest="tap_us", type=float, default=None,
-                   help="interceptor per-crossing delay, us (default 50)")
-    p.set_defaults(func=cmd_transfer)
+        arg("--seed", type=int, help="run seed (reproducibility)")
+        p.add_argument("--config", help="key = value settings file")  # not a config key
+        arg("--out-dir", help="artifact directory (default %(default)s)")
+        p.set_defaults(func=func, **defaults)
+        return arg
 
-    p = sub.add_parser("rewrite-pcap", help="embed into an existing capture")
-    common(p)
-    policy_args(p)
-    p.add_argument("--in", dest="in_path", default=None, help="input pcap")
-    p.add_argument("--out", dest="out_path", default=None, help="output pcap")
-    p.set_defaults(func=cmd_rewrite_pcap)
+    def policy_args(arg) -> None:
+        arg("--message", help="covert message as hex digits")
+        arg("--bits", help="covert message as a 0/1 string")
+        arg("--keystream-seed", type=int, help="embed a seeded keystream instead of a message")
+        arg("--coverage", default="1",
+            help="fraction of carrier bytes to use, as 0.3 or 3/10 (default %(default)s)")
 
-    p = sub.add_parser("channel", help="covert-channel encode/decode")
-    common(p)
-    p.add_argument("action", choices=("encode", "decode"))
-    p.add_argument("--channel", default=None, help=f"one of: {', '.join(CHANNELS)}")
-    p.add_argument("--message", default=None, help="message as hex digits (encode)")
-    p.add_argument("--bits", default=None, help="message as a 0/1 string (encode)")
-    p.add_argument("--in", dest="in_path", default=None, help="input pcap (decode)")
-    p.add_argument("--out", dest="out_path", default=None, help="output pcap (encode)")
-    p.add_argument("--expect", default=None, help="hex message to compare against (decode)")
-    p.add_argument("--length", type=int, default=None, help="truncate decoded bits")
-    p.add_argument("--k", type=int, default=None, help="TTL channel: top bits used (2-4)")
-    p.add_argument("--hops", type=int, default=None, help="TTL channel: router hops to undo")
-    p.add_argument("--n-bits", dest="n_bits", type=int, default=None,
-                   help="ISN channel: bits per SYN (default 8)")
-    p.add_argument("--gap-ms", dest="gap_ms", type=float, default=None,
-                   help="timing channel: nominal gap (default 200)")
-    p.add_argument("--delta-ms", dest="delta_ms", type=float, default=None,
-                   help="timing channel: modulation depth (default 100)")
-    p.add_argument("--threshold-ms", dest="threshold_ms", type=float, default=None,
-                   help="timing channel: decision threshold (default: nominal)")
-    p.add_argument("--headers", default=None,
-                   help="http-order channel: comma list of header names")
-    p.set_defaults(func=cmd_channel)
+    arg = command("transfer", cmd_transfer, "simulate direct vs intercepted BMP transfer",
+                  out_dir=".")
+    policy_args(arg)
+    arg("--image", help="BMP file to transfer")
+    width, height, bpp = SYNTHETIC_CARRIER
+    arg("--width", type=int, help=f"synthetic carrier width (default {width})")
+    arg("--height", type=int, help=f"synthetic carrier height (default {height})")
+    arg("--bpp", type=int, help=f"synthetic carrier depth, 8 or 24 (default {bpp})")
+    arg("--mss", type=int, default=1460,
+        help="TCP segment payload size (default %(default)s)")
+    arg("--tp-ms", type=float, default=10.0,
+        help="one-way propagation delay, ms (default %(default)s)")
+    arg("--tnp-us", type=float, default=50.0,
+        help="nodal processing time, us (default %(default)s)")
+    arg("--loss", type=float, default=0.0, help="frame loss rate [0,1)")
+    arg("--reorder", type=float, default=0.0, help="adjacent reorder rate [0,1]")
+    arg("--jitter-ms", type=float, default=0.0, help="uniform +/- jitter, ms")
+    arg("--warden", choices=WARDEN_CHOICES, default="none",
+        help="warden mode (default %(default)s)")
+    arg("--normalize", default="", help=f"comma list: {','.join(NORMALIZATIONS)}")
+    arg("--tap-us", type=float, default=50.0,
+        help="interceptor per-crossing delay, us (default %(default)s)")
 
-    p = sub.add_parser("capacity", help="print the benchmark capacity table")
-    common(p)
-    p.set_defaults(func=cmd_capacity)
+    arg = command("rewrite-pcap", cmd_rewrite_pcap, "embed into an existing capture")
+    policy_args(arg)
+    arg("--in", dest="in_path", help="input pcap")
+    arg("--out", dest="out_path", help="output pcap")
 
-    p = sub.add_parser("classify", help="four-class taxonomy lookup")
-    common(p)
-    p.add_argument("--states", default=None, help="comma list from: dar, dim, diu")
-    p.add_argument("--locus", default=None, help="pre-transit | transit | runtime")
-    p.set_defaults(func=cmd_classify)
+    arg = command("channel", cmd_channel, "covert-channel encode/decode", seed=0)
+    arg("action", choices=("encode", "decode"))
+    arg("--channel", help=f"one of: {', '.join(CHANNELS)}")
+    arg("--message", help="message as hex digits (encode)")
+    arg("--bits", help="message as a 0/1 string (encode)")
+    arg("--in", dest="in_path", help="input pcap (decode)")
+    arg("--out", dest="out_path", help="output pcap (encode)")
+    arg("--expect", help="hex message to compare against (decode)")
+    arg("--length", type=int, help="truncate decoded bits")
+    arg("--k", type=int, default=3, help="TTL channel: top bits used, 2-4 (default %(default)s)")
+    arg("--hops", type=int, default=0, help="TTL channel: router hops to undo")
+    arg("--n-bits", type=int, default=8, help="ISN channel: bits per SYN (default %(default)s)")
+    arg("--gap-ms", type=float, default=200.0,
+        help="timing channel: nominal gap (default %(default)s)")
+    arg("--delta-ms", type=float, default=100.0,
+        help="timing channel: modulation depth (default %(default)s)")
+    arg("--threshold-ms", type=float,
+        help="timing channel: decision threshold (default: nominal)")
+    arg("--headers", help="http-order channel: comma list of header names")
+
+    command("capacity", cmd_capacity, "print the benchmark capacity table")
+
+    arg = command("classify", cmd_classify, "four-class taxonomy lookup")
+    arg("--states", help="comma list from: dar, dim, diu")
+    arg("--locus", default="transit",
+        help="pre-transit | transit | runtime (default %(default)s)")
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(list(sys.argv[1:] if argv is None else argv))
+        return args.func(args)
     except SystemExit as exc:  # argparse has already printed its message
         code = exc.code
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
-    try:
-        _merge_config(args)
-        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (WireError, CovertChannelError, BmpError, Stalled,
-            analytics.IncompleteTrace, OSError, ValueError) as exc:
+    except (WireError, CovertChannelError, BmpError, Stalled, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

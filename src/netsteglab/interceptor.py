@@ -1,7 +1,8 @@
 """In-flight steganographic embedding for BMP payloads inside TCP streams.
 
 A middlebox sits on the path, reassembles just enough of each TCP flow to
-recognize a BMP transfer from its first 54 stream bytes, then rewrites the
+recognize a BMP transfer from its first 54 stream bytes (taken only from
+frames whose checksums verify), then rewrites the
 least significant bit of every carrier byte that crosses it: each pixel's
 red byte at 24 bpp, every pixel byte at 8 bpp, row padding never.  The TCP
 checksum and (when carried) the Ethernet FCS are repaired, nothing else in
@@ -44,7 +45,9 @@ from .wirecodec import (
     EthernetFrame,
     SEQ_MOD,
     TCP_SYN,
+    fcs_ok,
     ipv4_str,
+    tcp_checksum_ok,
     with_tcp_payload,
 )
 
@@ -63,7 +66,6 @@ __all__ = [
     "carrier_slices",
     "embed_in_frame",
     "extract_from_file",
-    "process_stream",
     "report_csv",
     "NotBmp",
     "UnsupportedBpp",
@@ -91,7 +93,6 @@ class FlowState:
     """Mutable per-flow tracking state (single writer per flow)."""
 
     base_seq: int
-    bytes_seen: int = 0
     bmp: Optional[BmpInfo] = None
     header_stash: bytearray = field(default_factory=lambda: bytearray(STASH_LEN))
     stash_mask: int = 0
@@ -239,12 +240,8 @@ def track(
         flows[key] = state
     if tcp.flags & TCP_SYN:
         return key, state, (0, 0)
-    payload_len = len(frame.tcp_payload)
     start = (tcp.seq - state.base_seq) % SEQ_MOD
-    end = start + payload_len
-    if payload_len:
-        state.bytes_seen = max(state.bytes_seen, end)
-    return key, state, (start, end)
+    return key, state, (start, start + len(frame.tcp_payload))
 
 
 def classify_payload(state: FlowState) -> Optional[BmpInfo]:
@@ -429,7 +426,10 @@ class Interceptor:
         key, state, (start, end) = track(frame, self.flows)
         state.frames_seen += 1
         has_payload = end > start
-        if not state.classify_done and has_payload:
+        # Only a frame that passes its checksums may fill the stash: one
+        # corrupted header byte would otherwise decide the flow for good.
+        if (not state.classify_done and has_payload and start < STASH_LEN
+                and tcp_checksum_ok(frame) and fcs_ok(frame)):
             self._stash(state, start, frame.tcp_payload)
             need = (1 << CLASSIFY_NEED) - 1
             if state.stash_mask & need == need:
@@ -468,25 +468,9 @@ class Interceptor:
 
     @staticmethod
     def _stash(state: FlowState, start: int, payload: bytes) -> None:
-        if start >= STASH_LEN:
-            return
         take = min(STASH_LEN - start, len(payload))
         state.header_stash[start:start + take] = payload[:take]
         state.stash_mask |= ((1 << take) - 1) << start
-
-
-def process_stream(
-    frames: Sequence[EthernetFrame], policy: StegoPolicy
-) -> Tuple[List[EthernetFrame], List[FlowReport]]:
-    """Run a frame sequence through a fresh interceptor.
-
-    Frame order and count are preserved; only carrier LSBs (plus repaired
-    checksums/FCS) may differ.  Flows that cannot be classified from what
-    arrived pass through unmodified.
-    """
-    interceptor = Interceptor(policy)
-    out = [interceptor.process(frame) for frame in frames]
-    return out, interceptor.flow_reports()
 
 
 def report_csv(reports: Sequence[FlowReport]) -> str:

@@ -56,7 +56,7 @@ _ENDS = {
 
 WARDEN_TTL = 64
 WARDEN_MODES = ("passive", "active", "malicious")
-NORMALIZATIONS = ("rewrite_ttl", "randomize_ip_id", "smooth_timing")
+NORMALIZATIONS = ("rewrite_ttl", "randomize_ip_id")
 
 MS = 1_000_000
 US = 1_000
@@ -195,7 +195,6 @@ class TransferTrace:
     rtt_estimate_ns: int = 0
     total_time_ns: int = 0
     delivered: bytes = b""
-    completed: bool = True
     max_in_flight: int = 0
 
 
@@ -313,7 +312,6 @@ class _Sim:
             rtt_estimate_ns=self.rtt_estimate or 0,
             total_time_ns=self.completed_at - (self.data_start or 0),
             delivered=bytes(self.delivered),
-            completed=True,
             max_in_flight=self.max_in_flight,
         )
 

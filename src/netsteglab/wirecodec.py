@@ -233,13 +233,6 @@ class EthernetFrame:
         return self.data[start:ETH_HEADER_LEN + self.ip.total_length]
 
     @property
-    def ip_payload(self) -> bytes:
-        """IPv4 payload bytes (TCP header included, L2 trailer excluded)."""
-        if self.ip is None:
-            return b""
-        return self.data[ETH_HEADER_LEN + self.ip.header_len:ETH_HEADER_LEN + self.ip.total_length]
-
-    @property
     def trailer(self) -> bytes:
         """L2 padding past the IP total length (kept verbatim)."""
         if self.ip is None:
@@ -442,6 +435,8 @@ def ipv4(address: Union[str, int]) -> int:
             raise ValueError(f"not an address: {address!r}")
         _check_range("address", address, 32)
         return address
+    if not isinstance(address, str):
+        raise ValueError(f"not an address: {address!r}")
     parts = address.split(".")
     if len(parts) != 4:
         raise ValueError(f"not a dotted quad: {address!r}")

@@ -32,14 +32,12 @@ def test_parse_hand_built_header():
     assert info == BmpInfo(pixel_offset=54, width=640, height=480, bits_per_pixel=24)
     assert info.bytes_per_pixel == 3
     assert info.row_stride == 1920  # 640*3 is already 4-aligned
-    assert info.row_data_bytes == 1920
     assert info.capacity_bits == 640 * 480
 
 
 def test_stride_rounds_up_to_four_bytes():
     info = parse_bmp_info(make_bmp(510, 2, 24))
     assert info.row_stride == 1532  # 510*3 = 1530 -> padded
-    assert info.row_data_bytes == 1530
     info = parse_bmp_info(make_bmp(2, 1, 24))
     assert info.row_stride == 8  # 6 data + 2 pad
 
@@ -65,7 +63,6 @@ def test_eight_bpp_layout():
     assert info.pixel_offset == 54 + 1024  # palette between header and pixels
     assert info.bytes_per_pixel == 1
     assert info.row_stride == 4
-    assert info.row_data_bytes == 3
     assert len(data) == 54 + 1024 + 4 * 2
     assert info.pixel_data_end == len(data)
 
@@ -85,13 +82,13 @@ def test_even_pattern_has_zero_lsbs():
     pixels = data[info.pixel_offset:]
     for row in range(3):
         base = row * info.row_stride
-        assert all(b & 1 == 0 for b in pixels[base:base + info.row_data_bytes])
+        assert all(b & 1 == 0 for b in pixels[base:base + 6 * 3])
 
 
 def test_flat_pattern_is_constant():
     data = make_bmp(4, 2, 24, pattern="flat")
     info = parse_bmp_info(data)
-    row = data[info.pixel_offset:info.pixel_offset + info.row_data_bytes]
+    row = data[info.pixel_offset:info.pixel_offset + 4 * 3]
     assert len(set(row)) == 1
 
 

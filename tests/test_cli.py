@@ -18,7 +18,7 @@ import pytest
 
 from netsteglab.bmp import make_bmp, parse_bmp_info
 from netsteglab.channels import BitMessage
-from netsteglab.cli import CHANNELS, _build_parser, main
+from netsteglab.cli import CHANNELS, _build_parser, _parse, main
 from netsteglab.interceptor import StegoPolicy, extract_from_file
 from netsteglab.wirecodec import (
     SEQ_MOD,
@@ -105,6 +105,15 @@ def test_unknown_channel_is_usage_error(capsys, tmp_path):
     assert "carrier-pigeon" in err
 
 
+def test_unknown_normalization_is_usage_error(capsys, tmp_path):
+    code, _, err = run(
+        ["transfer", "--seed", 1, "--width", 2, "--height", 2, "--warden", "active",
+         "--normalize", "rewrite_ttl,smooth_timing", "--out-dir", tmp_path], capsys,
+    )
+    assert code == 2
+    assert "smooth_timing" in err
+
+
 def test_truncated_pcap_is_runtime_error_naming_file(capsys, tmp_path):
     bad = tmp_path / "broken.pcap"
     bad.write_bytes(b"\xd4\xc3\xb2\xa1short")
@@ -162,6 +171,61 @@ def test_config_rejects_malformed_line(capsys, tmp_path):
     code, _, err = run(["capacity", "--config", cfg], capsys)
     assert code == 2
     assert "key = value" in err
+
+
+# A value for every config key, each unlike the flag's default.
+CONFIG_SAMPLES = {
+    "seed": "5", "out_dir": "runs/a", "message": "ab", "bits": "0110",
+    "keystream_seed": "9", "coverage": "3/10", "image": "c.bmp", "width": "8",
+    "height": "4", "bpp": "8", "mss": "536", "tp_ms": "2.5", "tnp_us": "7",
+    "loss": "0.1", "reorder": "0.2", "jitter_ms": "1.5", "warden": "active",
+    "normalize": "rewrite_ttl", "tap_us": "20", "in_path": "in.pcap",
+    "out_path": "out.pcap", "channel": "ttl", "expect": "ab", "length": "7",
+    "k": "4", "hops": "2", "n_bits": "16", "gap_ms": "150", "delta_ms": "50",
+    "threshold_ms": "120", "headers": "Host,Accept", "states": "dim",
+    "locus": "runtime",
+}
+CONFIG_FLAGS = [
+    (command, dest, flag)
+    for command, flags in _build_parser().parse_args(["capacity"]).config_flags.items()
+    for dest, flag in flags.items()
+]
+
+
+@pytest.mark.parametrize(
+    "command, dest, flag", CONFIG_FLAGS, ids=[f"{c}:{d}" for c, d, _ in CONFIG_FLAGS]
+)
+def test_config_key_gives_the_same_namespace_as_its_flag(tmp_path, command, dest, flag):
+    head = [command, "encode"] if command == "channel" else [command]
+    value = CONFIG_SAMPLES[dest]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("")
+    from_flag = _parse([*head, "--config", str(cfg), flag, value])
+    assert getattr(from_flag, dest) != getattr(_parse(head), dest)
+    for key in (dest, dest.replace("_", "-")):
+        cfg.write_text(f"{key} = {value}\n")
+        assert _parse([*head, "--config", str(cfg)]) == from_flag, key
+
+
+def test_config_key_of_another_command_is_ignored(capsys, tmp_path):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("k = 9\nmss = not-a-number\nlocus = runtime\n")
+    code, out, _ = run(["classify", "--states", "dim", "--config", cfg], capsys)
+    assert code == 0
+    assert "locus=application-runtime" in out
+    assert not hasattr(_parse(["classify", "--config", str(cfg)]), "k")
+
+
+@pytest.mark.parametrize(
+    "line, flag",
+    [("seed = 0x10", "--seed"), ("warden = nosy", "--warden"), ("loss = lots", "--loss")],
+)
+def test_bad_config_value_is_usage_error_naming_the_flag(capsys, tmp_path, line, flag):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, _, err = run(["transfer", "--config", cfg], capsys)
+    assert code == 2
+    assert flag in err
 
 
 # ---------------------------------------------------------------------------

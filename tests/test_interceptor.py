@@ -26,7 +26,6 @@ from netsteglab.interceptor import (
     classify_payload,
     embed_in_frame,
     extract_from_file,
-    process_stream,
     report_csv,
     track,
 )
@@ -38,6 +37,7 @@ from netsteglab.wirecodec import (
     build_tcp_frame,
     fcs_ok,
     ipv4,
+    parse_frame,
     tcp_checksum_ok,
 )
 
@@ -90,6 +90,12 @@ def segmented_frames(file_bytes: bytes, mss: int, *, with_syn=True):
     for off in range(0, len(file_bytes), mss):
         frames.append(data_frame(off, file_bytes[off:off + mss]))
     return frames
+
+
+def run_stream(frames, policy):
+    """Every frame through one fresh interceptor: the outputs and the reports."""
+    interceptor = Interceptor(policy)
+    return [interceptor.process(frame) for frame in frames], interceptor.flow_reports()
 
 
 MSG = StegoPolicy(message=BitMessage.from01("1011001110001111"))
@@ -222,7 +228,6 @@ def test_track_syn_anchors_base_seq():
     assert rng == (0, 3)
     _, _, rng = track(data_frame(3, b"dd", base_seq=5001), flows)
     assert rng == (3, 5)
-    assert state.bytes_seen == 5
 
 
 def test_track_without_syn_anchors_first_data():
@@ -475,7 +480,6 @@ def test_end_to_end_extraction_under_impairments(seed):
     )
     interceptor = Interceptor(policy)
     trace = simulate_transfer(file_bytes, link, tap=interceptor.process, tap_delay_ns=50_000)
-    assert trace.completed
     assert trace.delivered == embed_oracle(file_bytes, policy)
     extracted = extract_from_file(trace.delivered, policy)
     assert extracted == policy.source_bits(24 * 16)
@@ -504,11 +508,11 @@ def test_end_to_end_non_carrier_bytes_identical_to_direct_run():
 # stream processing and reports
 
 
-def test_process_stream_preserves_order_and_reports():
+def test_interceptor_preserves_order_and_reports():
     file_bytes = make_bmp(6, 4, 24)
     frames = segmented_frames(file_bytes, 33)
     policy = StegoPolicy(message=BitMessage.from01("01"))
-    outputs, reports = process_stream(frames, policy)
+    outputs, reports = run_stream(frames, policy)
     assert len(outputs) == len(frames)
     assert outputs[0].tcp.flags & TCP_SYN  # order preserved
     reassembled = bytearray(len(file_bytes))
@@ -526,7 +530,7 @@ def test_process_stream_preserves_order_and_reports():
 
 def test_report_csv_shape():
     file_bytes = make_bmp(2, 2, 24)
-    _, reports = process_stream(segmented_frames(file_bytes, 16), MSG)
+    _, reports = run_stream(segmented_frames(file_bytes, 16), MSG)
     text = report_csv(reports)
     lines = text.strip().split("\n")
     assert lines[0] == "flow,frames_seen,frames_modified,carrier_bits,skipped_bits"
@@ -534,13 +538,34 @@ def test_report_csv_shape():
     assert lines[1].startswith("10.0.0.1:40000->10.0.0.2:8080,")
 
 
-def test_process_stream_passes_compressed_bmp_flows_untouched():
+def test_interceptor_passes_compressed_bmp_flows_untouched():
     data = bytearray(make_bmp(6, 4, 8))
     data[30:34] = struct.pack("<I", 1)  # BI_RLE8: the pixel bytes are a code stream
     frames = segmented_frames(bytes(data), 40)
-    outputs, [report] = process_stream(frames, MSG)
+    outputs, [report] = run_stream(frames, MSG)
     assert all(out is frame for out, frame in zip(outputs, frames))
     assert report.carrier_bits == 0 and report.frames_modified == 0
+
+
+@pytest.mark.parametrize("failing", ["tcp_checksum", "fcs"])
+def test_corrupted_header_frame_does_not_decide_the_flow(failing):
+    """A header frame that fails its TCP checksum or its FCS passes untouched
+    and is not classified from; the clean resend of the flow is embedded in full."""
+    file_bytes = make_bmp(40, 30, 24)
+    has_fcs = failing == "fcs"
+    clean = [data_frame(off, file_bytes[off:off + 1460], with_fcs=has_fcs)
+             for off in range(0, len(file_bytes), 1460)]
+    flipped = b"CM" + file_bytes[2:1460]  # one bit of the "BM" magic
+    if failing == "tcp_checksum":
+        wire = clean[0].data.replace(file_bytes[:1460], flipped)
+    else:  # a valid TCP checksum over the flipped bytes, the clean frame's FCS
+        wire = data_frame(0, flipped, with_fcs=True).data[:-4] + clean[0].data[-4:]
+    corrupted = parse_frame(wire, has_fcs=has_fcs)
+    assert (tcp_checksum_ok(corrupted), fcs_ok(corrupted)) == (has_fcs, not has_fcs)
+    outputs, [report] = run_stream([syn_frame(), corrupted, *clean], MSG)
+    assert outputs[1] is corrupted
+    assert all(out is not frame for out, frame in zip(outputs[2:], clean))
+    assert report.frames_modified == len(clean) == 3
 
 
 def test_flow_key_rendering():

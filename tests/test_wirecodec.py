@@ -74,7 +74,7 @@ def crc32_oracle(data: bytes) -> int:
 def tcp_checksum_oracle(frame: EthernetFrame) -> int:
     """Recompute the TCP checksum from raw bytes via the naive word loop."""
     ip = frame.ip
-    segment = bytearray(frame.ip_payload[: ip.total_length - ip.header_len])
+    segment = bytearray(frame.payload[ip.header_len:ip.total_length])
     segment[16:18] = b"\x00\x00"  # zero the checksum field
     pseudo = struct.pack(
         "!IIBBH", ip.src_ip, ip.dst_ip, 0, ip.protocol, len(segment)
@@ -673,6 +673,9 @@ def test_ipv4_conversions():
         "10.0.0.0001",
         True,
         False,
+        None,  # neither str nor int
+        3.0,
+        b"10.0.0.1",
     ],
 )
 def test_ipv4_rejects_non_canonical_forms(address):
@@ -815,9 +818,9 @@ def _parsed_or_none(data: bytes, has_fcs: bool):
     # Verifiers and views work on whatever the parser accepted.
     assert all(isinstance(ok(frame), bool) for ok in (ipv4_checksum_ok, tcp_checksum_ok, fcs_ok))
     if frame.ip is not None:
-        header = frame.payload[: frame.ip.header_len]
-        assert header + frame.ip_payload + frame.trailer == frame.payload
-        assert frame.ip_payload.endswith(frame.tcp_payload)
+        packet = frame.payload[: frame.ip.total_length]
+        assert packet + frame.trailer == frame.payload
+        assert packet.endswith(frame.tcp_payload)
     return frame
 
 
