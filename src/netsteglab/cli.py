@@ -12,10 +12,12 @@ Subcommands:
 * ``capacity``     — print the benchmark-image capacity table.
 * ``classify``     — place a technique in the four-class taxonomy.
 
-Every command is deterministic given ``--seed``.  ``--config`` names a
-``key = value`` text file whose keys are flag destinations; its lines are
-parsed as the command's own flags, ahead of the explicit ones, which win.
-Exit codes: 0 success, 1 runtime error, 2 usage error.
+Every command is deterministic; the two with randomness take ``--seed``
+(``transfer`` requires it, ``channel`` seeds the ISN channel's noise).
+``--config`` names a ``key = value`` text file whose keys are flag
+destinations; its lines are parsed as the command's own flags, ahead of the
+explicit ones, which win.  Exit codes: 0 success, 1 runtime error, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from functools import cache
+from itertools import accumulate
 from math import ceil
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence
@@ -343,16 +347,7 @@ def cmd_rewrite_pcap(args: argparse.Namespace) -> int:
                 orig_len=record.orig_len,
             )
         )
-    write_pcap(
-        args.out_path,
-        PcapFile(
-            records=tuple(records),
-            snaplen=capture.snaplen,
-            linktype=capture.linktype,
-            thiszone=capture.thiszone,
-            sigfigs=capture.sigfigs,
-        ),
-    )
+    write_pcap(args.out_path, replace(capture, records=tuple(records)))
     print(f"frames: {len(records)}, modified: {len(modified)}")
     if modified:
         print("modified indices: " + ",".join(str(i) for i in modified))
@@ -373,6 +368,18 @@ def _carrier_frame(
         seq=seq, ack=0, flags=flags, payload=payload,
         ttl=ttl, ip_id=(i + 1) & 0xFFFF,
     )
+
+
+def _carriers(n: int) -> List[EthernetFrame]:
+    """``n`` header-only carriers at consecutive sequence numbers."""
+    return [_carrier_frame(i, seq=1000 + i) for i in range(n)]
+
+
+def _chunks(message: BitMessage, width: int) -> List[BitMessage]:
+    """``message`` zero-padded and cut into whole ``width``-bit chunks."""
+    n = ceil(len(message) / width)
+    padded = message + BitMessage([0] * (n * width - len(message)))
+    return [padded[width * i:width * (i + 1)] for i in range(n)]
 
 
 def _frames_to_pcap(frames: Sequence[EthernetFrame], times_ns: Sequence[int]) -> PcapFile:
@@ -433,56 +440,33 @@ def _encode_channel(args: argparse.Namespace) -> int:
         print(f"encoded 0 bits into 0 frames -> {args.out_path}")
         return 0
 
-    frames: List[EthernetFrame]
-    times: List[int]
+    times: Optional[List[int]] = None
     if channel == "ip-storage":
-        n = ceil(len(message) / IP_STORAGE_BITS_PER_FRAME)
-        carriers = [_carrier_frame(i, seq=1000 + i) for i in range(n)]
+        carriers = _carriers(ceil(len(message) / IP_STORAGE_BITS_PER_FRAME))
         frames = ip_storage_encode(message, carriers)
-        times = [i * FRAME_GAP_NS for i in range(len(frames))]
     elif channel == "ttl":
         cfg = _ttl_config(args)
-        n = ceil(len(message) / cfg.k)
-        carriers = [_carrier_frame(i, seq=1000 + i) for i in range(n)]
-        frames = ttl_encode(message, carriers, cfg)
-        times = [i * FRAME_GAP_NS for i in range(len(frames))]
+        frames = ttl_encode(message, _carriers(ceil(len(message) / cfg.k)), cfg)
     elif channel == "isn":
-        n_bits = args.n_bits
-        chunks = ceil(len(message) / n_bits)
-        padded = message + BitMessage([0] * (chunks * n_bits - len(message)))
         frames = []
-        for i in range(chunks):
-            chunk = padded[n_bits * i:n_bits * (i + 1)]
-            with _bad_setting():
-                isn = isn_encode(chunk, n_bits, f"{args.seed}/isn/{i}")
+        for i, chunk in enumerate(_chunks(message, args.n_bits)):
+            isn = isn_encode(chunk, args.n_bits, f"{args.seed}/isn/{i}")
             frames.append(_carrier_frame(i, seq=isn, flags=TCP_SYN))
-        times = [i * FRAME_GAP_NS for i in range(len(frames))]
     elif channel == "timing":
-        cfg = _timing_config(args)
-        gaps = timing_encode(message, cfg)
-        frames = [_carrier_frame(i, seq=1000 + i) for i in range(len(gaps) + 1)]
-        times = [0]
-        for gap in gaps:
-            times.append(times[-1] + gap)
+        gaps = timing_encode(message, _timing_config(args))
+        frames = _carriers(len(gaps) + 1)
+        times = [0, *accumulate(gaps)]
     elif channel == "order":
-        pairs = ceil(len(message) / 1)
-        carriers = [_carrier_frame(i, seq=1000 + i) for i in range(2 * pairs)]
-        frames = order_encode(message, carriers)
-        times = [i * FRAME_GAP_NS for i in range(len(frames))]
-    elif channel == "http-order":
-        cfg = _http_config(args)
-        width = cfg.capacity_bits
-        chunks = ceil(len(message) / width)
-        padded = message + BitMessage([0] * (chunks * width - len(message)))
-        frames, times, seq = [], [], 1000
-        for i in range(chunks):
-            ordering = http_header_encode(padded[width * i:width * (i + 1)], cfg)
-            payload = _render_http_request(ordering)
-            frames.append(_carrier_frame(i, seq=seq, payload=payload))
-            times.append(i * FRAME_GAP_NS)
-            seq += len(payload)
+        frames = order_encode(message, _carriers(2 * len(message)))
     else:
-        raise UsageError(f"unknown channel {channel!r}")
+        cfg = _http_config(args)
+        frames, seq = [], 1000
+        for i, chunk in enumerate(_chunks(message, cfg.capacity_bits)):
+            payload = _render_http_request(http_header_encode(chunk, cfg))
+            frames.append(_carrier_frame(i, seq=seq, payload=payload))
+            seq += len(payload)
+    if times is None:
+        times = [i * FRAME_GAP_NS for i in range(len(frames))]
 
     write_pcap(args.out_path, _frames_to_pcap(frames, times))
     print(f"encoded {len(message)} bits into {len(frames)} frames -> {args.out_path}")
@@ -515,7 +499,7 @@ def _decode_channel(args: argparse.Namespace) -> int:
         bits = timing_decode(gaps, cfg)
     elif channel == "order":
         bits = order_decode(frames)
-    elif channel == "http-order":
+    else:
         cfg = _http_config(args)
         bits = BitMessage.concat(
             http_header_decode(
@@ -523,8 +507,6 @@ def _decode_channel(args: argparse.Namespace) -> int:
             )
             for frame in frames
         )
-    else:
-        raise UsageError(f"unknown channel {channel!r}")
 
     if args.length is not None:
         bits = bits[:args.length]
@@ -533,8 +515,9 @@ def _decode_channel(args: argparse.Namespace) -> int:
     if args.expect is not None:
         with _bad_setting():
             expected = BitMessage.from_hex(args.expect)
-        n = min(len(bits), len(expected))
-        errors = bits.bit_errors(expected)
+        # a bit the capture does not carry counts as an error
+        n = len(expected)
+        errors = bits.bit_errors(expected) + max(0, n - len(bits))
         rate = errors / n if n else 0.0
         print(f"bit errors: {errors}/{n} (rate {rate:.4f})")
     return 0
@@ -543,10 +526,6 @@ def _decode_channel(args: argparse.Namespace) -> int:
 def cmd_channel(args: argparse.Namespace) -> int:
     if args.channel is None:
         raise UsageError("channel command needs --channel")
-    if args.channel not in CHANNELS:
-        raise UsageError(
-            f"unknown channel {args.channel!r}; choose from {', '.join(CHANNELS)}"
-        )
     if args.action == "encode":
         return _encode_channel(args)
     return _decode_channel(args)
@@ -582,11 +561,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     for name in names:
         if name not in known:
             raise UsageError(f"unknown data state {name!r}; choose from dar, dim, diu")
-    locus = _LOCUS_ALIASES.get(args.locus.strip().lower())
-    if locus is None:
-        raise UsageError(
-            f"unknown locus {args.locus!r}; choose from pre-transit, transit, runtime"
-        )
+    locus = _LOCUS_ALIASES[args.locus]
     with _bad_setting():
         inp = analytics.TaxonomyInput(frozenset(known[name] for name in names), locus)
     result = analytics.classify_taxonomy(inp)
@@ -615,7 +590,7 @@ def _build_parser() -> argparse.ArgumentParser:
     config_flags: Dict[str, Dict[str, str]] = {}
     parser.set_defaults(config_flags=config_flags)
 
-    def command(name: str, func, summary: str, **defaults):
+    def command(name: str, func, summary: str):
         """Add a subcommand; return an ``add_argument`` that records its flags."""
         p = sub.add_parser(name, help=summary)
         flags = config_flags[name] = {}
@@ -625,10 +600,8 @@ def _build_parser() -> argparse.ArgumentParser:
             if action.option_strings:
                 flags[action.dest] = action.option_strings[0]
 
-        arg("--seed", type=int, help="run seed (reproducibility)")
         p.add_argument("--config", help="key = value settings file")  # not a config key
-        arg("--out-dir", help="artifact directory (default %(default)s)")
-        p.set_defaults(func=func, **defaults)
+        p.set_defaults(func=func)
         return arg
 
     def policy_args(arg) -> None:
@@ -638,8 +611,9 @@ def _build_parser() -> argparse.ArgumentParser:
         arg("--coverage", default="1",
             help="fraction of carrier bytes to use, as 0.3 or 3/10 (default %(default)s)")
 
-    arg = command("transfer", cmd_transfer, "simulate direct vs intercepted BMP transfer",
-                  out_dir=".")
+    arg = command("transfer", cmd_transfer, "simulate direct vs intercepted BMP transfer")
+    arg("--seed", type=int, help="run seed (reproducibility)")
+    arg("--out-dir", default=".", help="artifact directory (default %(default)s)")
     policy_args(arg)
     arg("--image", help="BMP file to transfer")
     width, height, bpp = SYNTHETIC_CARRIER
@@ -666,9 +640,9 @@ def _build_parser() -> argparse.ArgumentParser:
     arg("--in", dest="in_path", help="input pcap")
     arg("--out", dest="out_path", help="output pcap")
 
-    arg = command("channel", cmd_channel, "covert-channel encode/decode", seed=0)
+    arg = command("channel", cmd_channel, "covert-channel encode/decode")
     arg("action", choices=("encode", "decode"))
-    arg("--channel", help=f"one of: {', '.join(CHANNELS)}")
+    arg("--channel", choices=CHANNELS, help="covert channel")
     arg("--message", help="message as hex digits (encode)")
     arg("--bits", help="message as a 0/1 string (encode)")
     arg("--in", dest="in_path", help="input pcap (decode)")
@@ -677,7 +651,9 @@ def _build_parser() -> argparse.ArgumentParser:
     arg("--length", type=int, help="truncate decoded bits")
     arg("--k", type=int, default=3, help="TTL channel: top bits used, 2-4 (default %(default)s)")
     arg("--hops", type=int, default=0, help="TTL channel: router hops to undo")
-    arg("--n-bits", type=int, default=8, help="ISN channel: bits per SYN (default %(default)s)")
+    arg("--n-bits", type=int, choices=range(1, 33), default=8, metavar="N",
+        help="ISN channel: bits per SYN, 1-32 (default %(default)s)")
+    arg("--seed", type=int, default=0, help="ISN channel: noise seed")
     arg("--gap-ms", type=float, default=200.0,
         help="timing channel: nominal gap (default %(default)s)")
     arg("--delta-ms", type=float, default=100.0,
@@ -686,11 +662,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="timing channel: decision threshold (default: nominal)")
     arg("--headers", help="http-order channel: comma list of header names")
 
-    command("capacity", cmd_capacity, "print the benchmark capacity table")
+    arg = command("capacity", cmd_capacity, "print the benchmark capacity table")
+    arg("--out-dir", help="also write capacity.csv into this directory")
 
     arg = command("classify", cmd_classify, "four-class taxonomy lookup")
     arg("--states", help="comma list from: dar, dim, diu")
-    arg("--locus", default="transit",
+    arg("--locus", type=lambda s: s.strip().lower(), choices=_LOCUS_ALIASES,
+        default="transit", metavar="LOCUS",
         help="pre-transit | transit | runtime (default %(default)s)")
 
     return parser

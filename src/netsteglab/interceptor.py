@@ -51,8 +51,8 @@ from .wirecodec import (
     with_tcp_payload,
 )
 
-STASH_LEN = 64           # stream bytes kept for classification
-CLASSIFY_NEED = 54       # BMP header prefix that must be present
+CLASSIFY_NEED = 54       # stream bytes stashed for classification: the BMP header
+_STASH_FULL = (1 << CLASSIFY_NEED) - 1  # stash_mask once they are all present
 
 __all__ = [
     "FlowKey",
@@ -94,7 +94,7 @@ class FlowState:
 
     base_seq: int
     bmp: Optional[BmpInfo] = None
-    header_stash: bytearray = field(default_factory=lambda: bytearray(STASH_LEN))
+    header_stash: bytearray = field(default_factory=lambda: bytearray(CLASSIFY_NEED))
     stash_mask: int = 0
     classify_done: bool = False
     frames_seen: int = 0
@@ -250,10 +250,9 @@ def classify_payload(state: FlowState) -> Optional[BmpInfo]:
     Returns the BMP geometry, ``None`` for non-BMP payloads, and raises
     :class:`UnsupportedBpp` for BMPs at depths the engine cannot address.
     """
-    need = (1 << CLASSIFY_NEED) - 1
-    if state.stash_mask & need != need:
+    if state.stash_mask != _STASH_FULL:
         raise ValueError("header stash incomplete; need stream bytes [0, 54)")
-    header = bytes(state.header_stash[:CLASSIFY_NEED])
+    header = bytes(state.header_stash)
     try:
         return parse_bmp_info(header)
     except NotBmp:
@@ -428,11 +427,10 @@ class Interceptor:
         has_payload = end > start
         # Only a frame that passes its checksums may fill the stash: one
         # corrupted header byte would otherwise decide the flow for good.
-        if (not state.classify_done and has_payload and start < STASH_LEN
+        if (not state.classify_done and has_payload and start < CLASSIFY_NEED
                 and tcp_checksum_ok(frame) and fcs_ok(frame)):
             self._stash(state, start, frame.tcp_payload)
-            need = (1 << CLASSIFY_NEED) - 1
-            if state.stash_mask & need == need:
+            if state.stash_mask == _STASH_FULL:
                 state.classify_done = True
                 try:
                     state.bmp = classify_payload(state)
@@ -468,7 +466,7 @@ class Interceptor:
 
     @staticmethod
     def _stash(state: FlowState, start: int, payload: bytes) -> None:
-        take = min(STASH_LEN - start, len(payload))
+        take = min(CLASSIFY_NEED - start, len(payload))
         state.header_stash[start:start + take] = payload[:take]
         state.stash_mask |= ((1 << take) - 1) << start
 

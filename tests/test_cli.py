@@ -131,6 +131,62 @@ def test_unknown_locus_is_usage_error(capsys):
     assert "mars" in err
 
 
+@pytest.fixture
+def isn_pcap(capsys, tmp_path):
+    pcap = tmp_path / "isn.pcap"
+    code, _, _ = run(
+        ["channel", "encode", "--channel", "isn", "--message", "c0de", "--out", pcap],
+        capsys,
+    )
+    assert code == 0
+    return pcap
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("n_bits", [0, -8, 33])
+@pytest.mark.parametrize("action", ["encode", "decode"])
+def test_n_bits_outside_1_to_32_is_usage_error(
+    capsys, tmp_path, isn_pcap, action, n_bits, via
+):
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text(f"n_bits = {n_bits}\n")
+    setting = ["--config", cfg] if via == "config" else ["--n-bits", n_bits]
+    out_pcap = tmp_path / "out.pcap"
+    io = ["--message", "c0de", "--out", out_pcap] if action == "encode" else ["--in", isn_pcap]
+    code, out, err = run(["channel", action, "--channel", "isn", *setting, *io], capsys)
+    assert code == 2
+    assert "--n-bits" in err
+    assert "Traceback" not in out + err
+    assert not out_pcap.exists()
+
+
+# Each command takes only the flags it reads.
+DEAD_FLAGS = [
+    (["rewrite-pcap", "--in", "a.pcap", "--out", "b.pcap", "--message", "ab"], "--seed"),
+    (["rewrite-pcap", "--in", "a.pcap", "--out", "b.pcap", "--message", "ab"], "--out-dir"),
+    (["channel", "encode", "--channel", "ttl", "--bits", "1", "--out", "x.pcap"], "--out-dir"),
+    (["capacity"], "--seed"),
+    (["classify", "--states", "dim"], "--seed"),
+    (["classify", "--states", "dim"], "--out-dir"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag", DEAD_FLAGS, ids=[f"{argv[0]}:{flag}" for argv, flag in DEAD_FLAGS]
+)
+def test_flag_the_command_does_not_read_is_usage_error(
+    capsys, tmp_path, monkeypatch, argv, flag
+):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run([*argv, flag, "1"], capsys)
+    assert code == 2
+    assert flag in err
+    code, out, _ = run([argv[0], "--help"], capsys)
+    assert code == 0
+    assert flag not in out
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # config file plumbing
 
@@ -259,10 +315,11 @@ def test_config_values_do_not_leak_into_a_later_call(capsys, tmp_path):
 
 
 def test_help_returns_zero_every_time(capsys):
-    for argv in (["--help"], ["transfer", "--help"], ["--help"]):
+    commands = ["transfer", "rewrite-pcap", "channel", "capacity", "classify"]
+    for argv in (["--help"], *([c, "--help"] for c in commands), ["--help"]):
         code, out, _ = run(argv, capsys)
         assert code == 0
-        assert "stegctl" in out
+        assert " ".join(["stegctl", *argv[:-1]]) in out
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +521,24 @@ def test_cli_http_order_round_trip(capsys, tmp_path):
     assert "bit errors: 0/8" in out
 
 
+def test_decode_counts_missing_bits_as_errors(capsys, tmp_path):
+    empty = tmp_path / "empty.pcap"
+    write_pcap(str(empty), PcapFile(records=()))
+    code, out, _ = run(
+        ["channel", "decode", "--channel", "ip-storage", "--in", empty, "--expect", "c0de"],
+        capsys,
+    )
+    assert code == 0
+    assert "bit errors: 16/16 (rate 1.0000)" in out
+    # One ip-storage frame carries 32 of the 64 expected bits, all of them right.
+    out = encode_decode(
+        capsys, tmp_path, "ip-storage", [], ["--expect", "deadbeefcafebabe"],
+        ["--message", "deadbeef"],
+    )
+    assert "hex: deadbeef\n" in out
+    assert "bit errors: 32/64 (rate 0.5000)" in out
+
+
 @pytest.mark.parametrize("channel", CHANNELS)
 def test_cli_channel_carriers_flow_from_client_to_server(capsys, tmp_path, channel):
     pcap = tmp_path / f"{channel}.pcap"
@@ -651,6 +726,7 @@ def test_capacity_prints_benchmark_table(capsys, tmp_path):
         ("dim,diu", "runtime", "Class III (RT-ANS)"),
         ("dim", "pre-transit", "Class I (RT-NS)"),
         ("dar", "runtime", "non-network steganography"),
+        ("dim,diu", " Application-Runtime ", "Class III (RT-ANS)"),
     ],
 )
 def test_classify_labels(capsys, states, locus, expected):
