@@ -39,7 +39,6 @@ from .netsim import (
     simulate_transfer,
 )
 from .interceptor import (
-    FlowKey,
     FlowState,
     Interceptor,
     StegoPolicy,
@@ -73,7 +72,7 @@ __all__ = [
     "BmpInfo", "NotBmp", "UnsupportedBpp", "make_bmp", "parse_bmp_info",
     "LinkModel", "Stalled", "TcpLiteEndpoint", "TransferTrace",
     "WardenConfig", "simulate_transfer",
-    "FlowKey", "FlowState", "Interceptor", "StegoPolicy", "carrier_offsets",
+    "FlowState", "Interceptor", "StegoPolicy", "carrier_offsets",
     "carrier_slices", "embed_in_frame", "extract_from_file",
     "DataState", "ModificationLocus", "StegoClass", "TaxonomyInput",
     "audio_capacity", "classify_taxonomy", "covert_channel_yield",

@@ -604,6 +604,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return arg
 
+    def count(text: str) -> int:
+        """A whole number, 0 or more."""
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be 0 or more, not {value}")
+        return value
+
     def policy_args(arg) -> None:
         arg("--message", help="covert message as hex digits")
         arg("--bits", help="covert message as a 0/1 string")
@@ -648,7 +655,7 @@ def _build_parser() -> argparse.ArgumentParser:
     arg("--in", dest="in_path", help="input pcap (decode)")
     arg("--out", dest="out_path", help="output pcap (encode)")
     arg("--expect", help="hex message to compare against (decode)")
-    arg("--length", type=int, help="truncate decoded bits")
+    arg("--length", type=count, help="truncate decoded bits")
     arg("--k", type=int, default=3, help="TTL channel: top bits used, 2-4 (default %(default)s)")
     arg("--hops", type=int, default=0, help="TTL channel: router hops to undo")
     arg("--n-bits", type=int, choices=range(1, 33), default=8, metavar="N",

@@ -1,12 +1,12 @@
 """In-flight steganographic embedding for BMP payloads inside TCP streams.
 
 A middlebox sits on the path, reassembles just enough of each TCP flow to
-recognize a BMP transfer from its first 54 stream bytes (taken only from
-frames whose checksums verify), then rewrites the
+recognize a BMP transfer from its first 54 stream bytes, then rewrites the
 least significant bit of every carrier byte that crosses it: each pixel's
 red byte at 24 bpp, every pixel byte at 8 bpp, row padding never.  The TCP
 checksum and (when carried) the Ethernet FCS are repaired, nothing else in
-the frame changes.
+the frame changes.  A data frame that fails either check is neither stashed
+nor rewritten: it passes as it came, so the receiver still sees it fail.
 
 The bit written at carrier index ``i`` is a pure function of ``i`` and the
 policy — never of arrival order — so retransmitted, reordered or
@@ -51,17 +51,17 @@ from .wirecodec import (
     with_tcp_payload,
 )
 
+Flow = Tuple[int, int, int, int]  # (src_ip, dst_ip, src_port, dst_port), one direction
+
 CLASSIFY_NEED = 54       # stream bytes stashed for classification: the BMP header
 _STASH_FULL = (1 << CLASSIFY_NEED) - 1  # stash_mask once they are all present
 
 __all__ = [
-    "FlowKey",
     "FlowState",
     "FlowReport",
     "StegoPolicy",
     "Interceptor",
     "track",
-    "classify_payload",
     "carrier_offsets",
     "carrier_slices",
     "embed_in_frame",
@@ -72,38 +72,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FlowKey:
-    """Direction-sensitive TCP flow identity."""
-
-    src_ip: int
-    dst_ip: int
-    src_port: int
-    dst_port: int
-
-    def __str__(self) -> str:
-        return (
-            f"{ipv4_str(self.src_ip)}:{self.src_port}"
-            f"->{ipv4_str(self.dst_ip)}:{self.dst_port}"
-        )
-
-
 @dataclass
 class FlowState:
-    """Mutable per-flow tracking state (single writer per flow)."""
+    """Mutable per-flow tracking state (single writer per flow).
+
+    The flow is decided once ``stash_mask`` is ``_STASH_FULL``; ``bmp`` is
+    then set iff the flow carries a BMP the tap embeds into.
+    """
 
     base_seq: int
     bmp: Optional[BmpInfo] = None
     header_stash: bytearray = field(default_factory=lambda: bytearray(CLASSIFY_NEED))
     stash_mask: int = 0
-    classify_done: bool = False
     frames_seen: int = 0
     frames_modified: int = 0
     carrier_bits: int = 0
-    # carrier-index intervals [lo, hi) that passed before classification and
-    # have not been embedded since; disjoint and sorted
-    skipped: list = field(default_factory=list)
-    pending_ranges: list = field(default_factory=list)
+    # stream ranges [start, end) that crossed the tap unembedded and have not
+    # been embedded since; disjoint and sorted
+    unembedded: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -219,8 +205,8 @@ class StegoPolicy:
 
 
 def track(
-    frame: EthernetFrame, flows: Dict[FlowKey, FlowState]
-) -> Tuple[FlowKey, FlowState, Tuple[int, int]]:
+    frame: EthernetFrame, flows: Dict[Flow, FlowState]
+) -> Tuple[Flow, FlowState, Tuple[int, int]]:
     """Match a TCP frame to its flow and return its stream byte range.
 
     A flow is created on SYN (``base_seq = ISN + 1``) or anchored at the
@@ -230,7 +216,7 @@ def track(
     if frame.ip is None or frame.tcp is None:
         raise ValueError("track needs a TCP frame")
     tcp = frame.tcp
-    key = FlowKey(frame.ip.src_ip, frame.ip.dst_ip, tcp.src_port, tcp.dst_port)
+    key = (frame.ip.src_ip, frame.ip.dst_ip, tcp.src_port, tcp.dst_port)
     state = flows.get(key)
     if state is None:
         if tcp.flags & TCP_SYN:
@@ -242,21 +228,6 @@ def track(
         return key, state, (0, 0)
     start = (tcp.seq - state.base_seq) % SEQ_MOD
     return key, state, (start, start + len(frame.tcp_payload))
-
-
-def classify_payload(state: FlowState) -> Optional[BmpInfo]:
-    """Classify a flow from its header stash (stream bytes [0, 54) required).
-
-    Returns the BMP geometry, ``None`` for non-BMP payloads, and raises
-    :class:`UnsupportedBpp` for BMPs at depths the engine cannot address.
-    """
-    if state.stash_mask != _STASH_FULL:
-        raise ValueError("header stash incomplete; need stream bytes [0, 54)")
-    header = bytes(state.header_stash)
-    try:
-        return parse_bmp_info(header)
-    except NotBmp:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +344,19 @@ def embed_in_frame(
     bytes no matter when or how often it passes.  Frames whose carrier
     bytes already hold their bits, or that overlap no carrier, come back
     unchanged (the identical object).  The selected carriers are counted
-    in ``state.carrier_bits`` and no longer count as skipped.
+    in ``state.carrier_bits``, and the frame's stream range is cut from
+    ``state.unembedded``.
     """
     payload = frame.tcp_payload
     if state.bmp is None or not payload:
         return frame
     start = (frame.tcp.seq - state.base_seq) % SEQ_MOD
+    end = start + len(payload)
+    if state.unembedded:
+        state.unembedded = _cut(state.unembedded, start, end)
     rows = [
         (slice(offset, offset + step * count, step), first, count)
-        for offset, step, first, count in carrier_slices(state.bmp, start, start + len(payload))
+        for offset, step, first, count in carrier_slices(state.bmp, start, end)
     ]
     if not rows:
         return frame
@@ -389,8 +364,6 @@ def embed_in_frame(
     hi = rows[-1][1] + rows[-1][2]
     bits = policy.bits(policy.rank(lo), policy.rank(hi))
     state.carrier_bits += len(bits)
-    if state.skipped:
-        state.skipped = _cut(state.skipped, lo, hi)
     carriers = b"".join(payload[row] for row, _, _ in rows)
     lsbs = bytearray(carriers.translate(_LSB))
     for run, take in policy.runs(lo, hi):
@@ -416,53 +389,63 @@ class Interceptor:
 
     def __init__(self, policy: StegoPolicy):
         self.policy = policy
-        self.flows: Dict[FlowKey, FlowState] = {}
+        self.flows: Dict[Flow, FlowState] = {}
 
     def process(self, frame: EthernetFrame) -> EthernetFrame:
-        """Handle one frame; non-TCP or non-carrier traffic passes untouched."""
+        """Pass, stash or embed one frame.
+
+        Non-TCP frames, frames without payload, frames of a flow decided
+        not to carry and frames that fail their TCP checksum or FCS pass
+        untouched (the identical object).  A verified frame of an
+        undecided flow fills the header stash, and the frame that
+        completes it decides the flow.  A verified frame of a BMP flow is
+        embedded.
+        """
         if frame.ip is None or frame.tcp is None:
             return frame
-        key, state, (start, end) = track(frame, self.flows)
+        _, state, (start, end) = track(frame, self.flows)
         state.frames_seen += 1
-        has_payload = end > start
-        # Only a frame that passes its checksums may fill the stash: one
-        # corrupted header byte would otherwise decide the flow for good.
-        if (not state.classify_done and has_payload and start < CLASSIFY_NEED
-                and tcp_checksum_ok(frame) and fcs_ok(frame)):
-            self._stash(state, start, frame.tcp_payload)
-            if state.stash_mask == _STASH_FULL:
-                state.classify_done = True
-                try:
-                    state.bmp = classify_payload(state)
-                except UnsupportedBpp:
-                    state.bmp = None
-                if state.bmp is not None:
-                    state.skipped = _union(
-                        span for lo, hi in state.pending_ranges
-                        if (span := _index_span(state.bmp, lo, hi)) is not None
-                    )
-                state.pending_ranges.clear()
-        if state.bmp is None:
-            if not state.classify_done and has_payload:
-                # Can't tell yet whether this is a carrier: let it through,
-                # remember what we may have missed.
-                state.pending_ranges.append((start, end))
+        undecided = state.stash_mask != _STASH_FULL
+        if start == end or (not undecided and state.bmp is None):
             return frame
+        # Rewriting gives a frame fresh, valid checksums, so a frame that fails
+        # them is never rewritten, and never decides its flow.
+        verified = tcp_checksum_ok(frame) and fcs_ok(frame)
+        if verified and undecided and start < CLASSIFY_NEED:
+            self._stash(state, start, frame.tcp_payload)
+        if not verified or state.stash_mask != _STASH_FULL:
+            state.unembedded = _union([*state.unembedded, (start, end)])
+            return frame
+        if undecided:  # this frame completed the stash
+            try:
+                state.bmp = parse_bmp_info(bytes(state.header_stash))
+            except (NotBmp, UnsupportedBpp):
+                return frame
         return embed_in_frame(frame, state, self.policy)
 
     def flow_reports(self) -> List[FlowReport]:
         return [
             FlowReport(
-                flow=str(key),
+                flow=f"{ipv4_str(src_ip)}:{src_port}->{ipv4_str(dst_ip)}:{dst_port}",
                 frames_seen=state.frames_seen,
                 frames_modified=state.frames_modified,
                 carrier_bits=state.carrier_bits,
-                skipped_bits=sum(
-                    self.policy.rank(hi) - self.policy.rank(lo) for lo, hi in state.skipped
-                ),
+                skipped_bits=self._skipped_bits(state),
             )
-            for key, state in self.flows.items()
+            for (src_ip, dst_ip, src_port, dst_port), state in self.flows.items()
         ]
+
+    def _skipped_bits(self, state: FlowState) -> int:
+        """Selected carriers in the flow's unembedded stream ranges.
+
+        The carriers of a stream range are one run of carrier indices, so
+        disjoint ranges count disjoint runs.
+        """
+        if state.bmp is None:
+            return 0
+        rank = self.policy.rank
+        spans = (_index_span(state.bmp, lo, hi) for lo, hi in state.unembedded)
+        return sum(rank(hi) - rank(lo) for lo, hi in filter(None, spans))
 
     @staticmethod
     def _stash(state: FlowState, start: int, payload: bytes) -> None:

@@ -108,7 +108,6 @@ class TcpLiteEndpoint:
     isn: int = 0x10000000
     mss: int = 1460
     recv_buffer: int = 4096
-    rto_ns: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.isn < SEQ_MOD:
@@ -117,8 +116,6 @@ class TcpLiteEndpoint:
             raise ValueError("mss must be at least 1")
         if self.recv_buffer < 1:
             raise ValueError("recv_buffer must be at least 1")
-        if self.rto_ns is not None and self.rto_ns <= 0:
-            raise ValueError("rto must be positive")
 
 
 @dataclass(frozen=True)
@@ -251,10 +248,10 @@ class _Sim:
         self.completed_at: Optional[int] = None
         self.rtt_estimate: Optional[int] = None
 
-        # Fixed RTO: explicit, or derived generously from link nominals so
-        # that jittered round trips do not trigger spurious retransmits.
+        # Fixed RTO, derived generously from link nominals so that jittered
+        # round trips do not trigger spurious retransmits.
         worst_rtt = rtt(link) + 2 * link.jitter_ns + 2 * self.tap_delay_ns
-        self.rto_ns = sender.rto_ns or (3 * worst_rtt + 1 * MS)
+        self.rto_ns = 3 * worst_rtt + 1 * MS
 
         # Receiver: in-order delivery plus an out-of-order stash.
         self.delivered = bytearray()

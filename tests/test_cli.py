@@ -160,6 +160,28 @@ def test_n_bits_outside_1_to_32_is_usage_error(
     assert not out_pcap.exists()
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("length", [-1, -3])
+def test_negative_length_is_usage_error(capsys, tmp_path, length, via):
+    pcap = tmp_path / "l.pcap"
+    code, _, _ = run(
+        ["channel", "encode", "--channel", "ip-storage", "--message", "c0de", "--out", pcap],
+        capsys,
+    )
+    assert code == 0
+    cfg = tmp_path / "l.cfg"
+    cfg.write_text(f"length = {length}\n")
+    setting = ["--config", cfg] if via == "config" else ["--length", length]
+    code, out, err = run(
+        ["channel", "decode", "--channel", "ip-storage", "--in", pcap, *setting,
+         "--expect", "c0de"], capsys,
+    )
+    assert code == 2
+    assert "--length" in err
+    assert "Traceback" not in out + err
+    assert "bits:" not in out
+
+
 # Each command takes only the flags it reads.
 DEAD_FLAGS = [
     (["rewrite-pcap", "--in", "a.pcap", "--out", "b.pcap", "--message", "ab"], "--seed"),
@@ -403,6 +425,19 @@ def test_transfer_different_seed_changes_impaired_trace(capsys, tmp_path):
     assert a != b
 
 
+def test_transfer_extraction_failure_exits_1_with_empty_extract(capsys, tmp_path):
+    """A malicious warden scrambles every payload byte, so the received file
+    is no longer a BMP and nothing can be extracted from it."""
+    code, out, err = run(
+        ["transfer", "--seed", 7, "--width", 16, "--height", 8, "--message", "a5",
+         "--warden", "malicious", "--out-dir", tmp_path], capsys,
+    )
+    assert code == 1
+    assert "extraction failed" in err
+    assert (tmp_path / "extracted.hex").read_text() == ""
+    assert "MATCH" not in out
+
+
 def test_transfer_from_image_file(capsys, tmp_path):
     img = tmp_path / "carrier.bmp"
     img.write_bytes(make_bmp(8, 8, 8))
@@ -640,6 +675,36 @@ def test_rewrite_pcap_leaves_foreign_traffic_alone(capsys, tmp_path):
     assert code == 0
     assert "modified: 0" in out
     assert out_path.read_bytes() == source.read_bytes()
+
+
+def test_rewrite_pcap_passes_a_record_it_cannot_parse_through_unchanged(capsys, tmp_path):
+    code, _, _ = run(
+        ["transfer", "--seed", 6, "--width", 8, "--height", 8, "--mss", 100,
+         "--out-dir", tmp_path], capsys,
+    )
+    assert code == 0
+    records = list(read_pcap(str(tmp_path / "direct.pcap")).records)
+    data = [i for i, r in enumerate(records)
+            if (f := parse_frame(r.frame_bytes)).tcp.src_port == 40000 and f.tcp_payload]
+    first, second = data[:2]
+    # Ethernet header whole, IPv4 header cut short: the parser refuses it.
+    truncated = PcapRecord(ts_sec=0, ts_usec=0, frame_bytes=records[first].frame_bytes[:30])
+    records.insert(second, truncated)
+    source = tmp_path / "with_truncated.pcap"
+    write_pcap(str(source), PcapFile(records=tuple(records)))
+    rewritten = tmp_path / "rewritten.pcap"
+    code, out, _ = run(
+        ["rewrite-pcap", "--in", source, "--out", rewritten, "--message", "5a"], capsys,
+    )
+    assert code == 0
+    out_records = read_pcap(str(rewritten)).records
+    assert len(out_records) == len(records)
+    assert out_records[second].frame_bytes == truncated.frame_bytes
+    for index in (first, second + 1):  # the BMP data frames on either side
+        assert out_records[index].frame_bytes != records[index].frame_bytes
+        assert tcp_checksum_ok(parse_frame(out_records[index].frame_bytes))
+    modified = out.split("modified indices: ")[1].split("\n")[0].split(",")
+    assert str(first) in modified and str(second) not in modified
 
 
 @pytest.mark.parametrize(

@@ -14,16 +14,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from netsteglab.bmp import BmpInfo, UnsupportedBpp, make_bmp, parse_bmp_info
+from netsteglab.bmp import BmpInfo, make_bmp, parse_bmp_info
 from netsteglab.channels import BitMessage
 from netsteglab.interceptor import (
-    FlowKey,
     FlowState,
     Interceptor,
     StegoPolicy,
     carrier_offsets,
     carrier_slices,
-    classify_payload,
     embed_in_frame,
     extract_from_file,
     report_csv,
@@ -223,7 +221,7 @@ def test_track_syn_anchors_base_seq():
     key, state, rng = track(syn_frame(isn=5000), flows)
     assert rng == (0, 0)
     assert state.base_seq == 5001
-    assert str(key) == "10.0.0.1:40000->10.0.0.2:8080"
+    assert key == (ipv4("10.0.0.1"), ipv4("10.0.0.2"), 40000, 8080)
     _, _, rng = track(data_frame(0, b"abc", base_seq=5001), flows)
     assert rng == (0, 3)
     _, _, rng = track(data_frame(3, b"dd", base_seq=5001), flows)
@@ -272,34 +270,20 @@ def test_track_rejects_non_tcp():
 # classification
 
 
-def test_classify_requires_complete_stash():
-    state = FlowState(base_seq=0)
-    with pytest.raises(ValueError):
-        classify_payload(state)
-
-
 def test_classify_bmp_and_non_bmp():
-    bmp_bytes = make_bmp(4, 2, 24)
-    state = FlowState(base_seq=0)
-    state.header_stash[:54] = bmp_bytes[:54]
-    state.stash_mask = (1 << 54) - 1
-    info = classify_payload(state)
-    assert (info.width, info.height) == (4, 2)
-
-    state = FlowState(base_seq=0)
-    state.header_stash[:54] = b"%PDF-1.4" + bytes(46)
-    state.stash_mask = (1 << 54) - 1
-    assert classify_payload(state) is None
-
-
-def test_classify_unsupported_depth_propagates():
-    data = bytearray(make_bmp(4, 2, 24))
-    data[28:30] = (16).to_bytes(2, "little")
-    state = FlowState(base_seq=0)
-    state.header_stash[:54] = data[:54]
-    state.stash_mask = (1 << 54) - 1
-    with pytest.raises(UnsupportedBpp):
-        classify_payload(state)
+    """The frame that completes the 54-byte header stash decides the flow."""
+    for header, carries in [(make_bmp(4, 2, 24)[:54], True), (b"%PDF-1.4" + bytes(46), False)]:
+        interceptor = Interceptor(MSG)
+        interceptor.process(syn_frame())
+        interceptor.process(data_frame(20, header[20:]))
+        [state] = interceptor.flows.values()
+        assert state.stash_mask != (1 << 54) - 1 and state.bmp is None
+        interceptor.process(data_frame(0, header[:20]))
+        assert state.stash_mask == (1 << 54) - 1
+        if carries:
+            assert (state.bmp.width, state.bmp.height) == (4, 2)
+        else:
+            assert state.bmp is None
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +552,45 @@ def test_corrupted_header_frame_does_not_decide_the_flow(failing):
     assert report.frames_modified == len(clean) == 3
 
 
-def test_flow_key_rendering():
-    key = FlowKey(ipv4("192.168.1.2"), ipv4("10.9.8.7"), 1234, 80)
-    assert str(key) == "192.168.1.2:1234->10.9.8.7:80"
+@pytest.mark.parametrize("failing", ["tcp_checksum", "fcs", "both"])
+def test_corrupted_frame_of_a_classified_flow_is_not_laundered(failing):
+    """A data frame of a BMP flow that fails its TCP checksum, its FCS or both
+    passes as the identical object, still failing, and its carriers count as
+    skipped until the clean resend embeds them."""
+    file_bytes = make_bmp(40, 30, 24)
+    has_fcs = failing != "tcp_checksum"
+    clean = [data_frame(off, file_bytes[off:off + 1460], with_fcs=has_fcs)
+             for off in range(0, len(file_bytes), 1460)]
+    flipped = bytearray(file_bytes[1460:2920])
+    flipped[100] ^= 1  # one payload bit of the second data frame
+    if failing == "fcs":  # a valid TCP checksum over the flipped bytes, the clean frame's FCS
+        wire = data_frame(1460, bytes(flipped), with_fcs=True).data[:-4] + clean[1].data[-4:]
+    else:
+        wire = clean[1].data.replace(file_bytes[1460:2920], bytes(flipped))
+    corrupted = parse_frame(wire, has_fcs=has_fcs)
+    verdict = (tcp_checksum_ok(corrupted), fcs_ok(corrupted))
+    assert verdict == {"tcp_checksum": (False, True), "fcs": (True, False),
+                       "both": (False, False)}[failing]
+    interceptor = Interceptor(MSG)
+    outputs = [interceptor.process(f) for f in [syn_frame(), clean[0], corrupted, clean[2]]]
+    assert outputs[2] is corrupted
+    assert (tcp_checksum_ok(outputs[2]), fcs_ok(outputs[2])) == verdict
+    [report] = interceptor.flow_reports()
+    missed = len(carrier_offsets(parse_bmp_info(file_bytes), 1460, 2920))
+    assert (report.frames_modified, report.skipped_bits) == (2, missed)
+    assert interceptor.process(clean[1]) is not clean[1]
+    [report] = interceptor.flow_reports()
+    assert (report.frames_modified, report.skipped_bits) == (3, 0)
+    assert report.carrier_bits == 40 * 30
+
+
+def test_flow_report_names_the_flow():
+    frame = build_tcp_frame(
+        src_ip="192.168.1.2", dst_ip="10.9.8.7", src_port=1234, dst_port=80, seq=0,
+        flags=TCP_SYN,
+    )
+    _, [report] = run_stream([frame], MSG)
+    assert report.flow == "192.168.1.2:1234->10.9.8.7:80"
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,29 @@ def test_parse_errors():
         parse_frame(bytes(short_total))
 
 
+@pytest.mark.parametrize(
+    "at, value, message",
+    [
+        (14, b"\x44", "IHL below minimum header size: 4"),
+        (14, b"\x4f", "IPv4 header length beyond captured bytes"),
+        (16, struct.pack("!H", 20 + 19), "TCP header shorter than 20 bytes"),  # total length
+        (46, b"\x40", "TCP data offset below minimum: 4"),
+        (46, b"\x60", "TCP data offset beyond segment end"),
+    ],
+    ids=["ihl-below-5", "ihl-past-capture", "tcp-header-short", "data-offset-below-5",
+         "data-offset-past-segment"],
+)
+def test_parse_length_branches_name_their_cause(at, value, message):
+    """Each length check of the IPv4/TCP parser raises its own TruncatedFrame."""
+    wire = bytearray(build_tcp_frame(
+        src_ip="1.1.1.1", dst_ip="2.2.2.2", src_port=1, dst_port=2, seq=0,
+    ).emit())
+    assert len(wire) == 14 + 20 + 20  # no options, no payload
+    wire[at:at + len(value)] = value
+    with pytest.raises(TruncatedFrame, match=f"^{message}$"):
+        parse_frame(bytes(wire))
+
+
 def test_non_ip_ethertype_passes_through():
     wire = b"\x01" * 6 + b"\x02" * 6 + struct.pack("!H", 0x0806) + b"arp-body"
     frame = parse_frame(wire)
