@@ -57,7 +57,6 @@ from .analytics import (
     covert_channel_yield,
     exfil_projection,
     lsb_capacity,
-    overhead_report,
     transfer_frame_profile,
 )
 
@@ -76,7 +75,6 @@ __all__ = [
     "carrier_slices", "embed_in_frame", "extract_from_file",
     "DataState", "ModificationLocus", "StegoClass", "TaxonomyInput",
     "audio_capacity", "classify_taxonomy", "covert_channel_yield",
-    "exfil_projection", "lsb_capacity", "overhead_report",
-    "transfer_frame_profile",
+    "exfil_projection", "lsb_capacity", "transfer_frame_profile",
     "__version__",
 ]

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import ceil, inf
-from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
+from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
 from .bmp import bmp_file_size
-from .netsim import TransferTrace
+from .wirecodec import ETH_HEADER_LEN, IPV4_MIN_HEADER, TCP_MIN_HEADER
 
 __all__ = [
     "DataState",
@@ -25,7 +25,6 @@ __all__ = [
     "TaxonomyInput",
     "StegoClass",
     "classify_taxonomy",
-    "CapacityReport",
     "lsb_capacity",
     "audio_capacity",
     "TransferFrameProfile",
@@ -33,17 +32,12 @@ __all__ = [
     "covert_channel_yield",
     "ExfilProjection",
     "exfil_projection",
-    "OverheadReport",
-    "overhead_report",
+    "OverheadRow",
     "ImageSpec",
     "REFERENCE_IMAGES",
     "REFERENCE_TESTBED_MS",
-    "CapacityRow",
-    "capacity_table",
     "render_capacity_table",
     "capacity_table_csv",
-    "OverheadRow",
-    "reference_overhead_rows",
     "render_overhead_table",
     "overhead_table_csv",
 ]
@@ -132,42 +126,17 @@ def classify_taxonomy(inp: TaxonomyInput) -> StegoClass:
 # capacity arithmetic
 
 
-@dataclass(frozen=True)
-class CapacityReport:
-    carrier_bits: int
-    assumptions: Tuple[Tuple[str, object], ...]
-
-    @property
-    def carrier_bytes(self) -> int:
-        return self.carrier_bits // 8
-
-
 def lsb_capacity(
-    width: int,
-    height: int,
-    bpp: int,
-    carrier_layers: int = 1,
-    bits_per_carrier_byte: int = 1,
-) -> CapacityReport:
-    """LSB embedding capacity of an image: width x height x layers x bits.
+    width: int, height: int, *, carrier_layers: int = 1, bits_per_carrier_byte: int = 1
+) -> int:
+    """LSB embedding capacity of an image in bits: width x height x layers x bits.
 
-    ``bpp`` is recorded as an assumption (it fixes file layout, not
-    capacity); ``carrier_layers`` counts the color planes actually used
-    (1 for red-only embedding in RGB, 1 for grayscale).
+    ``carrier_layers`` counts the color planes actually used (1 for
+    red-only embedding in RGB, 1 for grayscale).
     """
-    if min(width, height, bpp, carrier_layers, bits_per_carrier_byte) < 1:
+    if min(width, height, carrier_layers, bits_per_carrier_byte) < 1:
         raise ValueError("all capacity parameters must be >= 1")
-    bits = width * height * carrier_layers * bits_per_carrier_byte
-    return CapacityReport(
-        carrier_bits=bits,
-        assumptions=(
-            ("width", width),
-            ("height", height),
-            ("bpp", bpp),
-            ("carrier_layers", carrier_layers),
-            ("bits_per_carrier_byte", bits_per_carrier_byte),
-        ),
-    )
+    return width * height * carrier_layers * bits_per_carrier_byte
 
 
 def audio_capacity(
@@ -185,19 +154,18 @@ class TransferFrameProfile(NamedTuple):
     wire_bytes: int
 
 
-def transfer_frame_profile(
-    file_bytes: int, mss: int = 1460, tcp: int = 20, ip: int = 20, eth: int = 14
-) -> TransferFrameProfile:
+def transfer_frame_profile(file_bytes: int, mss: int = 1460) -> TransferFrameProfile:
     """Segment count and wire footprint of a file pushed through TCP.
 
-    ``frame_size`` is the on-wire size of a full segment; ``wire_bytes``
-    sums the actual per-frame sizes including the short final segment.
+    ``frame_size`` is the on-wire size of a full segment, with minimal TCP,
+    IPv4 and Ethernet headers and no FCS; ``wire_bytes`` sums the actual
+    per-frame sizes including the short final segment.
     """
     if file_bytes < 0:
         raise ValueError("file_bytes must be >= 0")
     if mss < 1:
         raise ValueError("mss must be >= 1")
-    overhead = tcp + ip + eth
+    overhead = TCP_MIN_HEADER + IPV4_MIN_HEADER + ETH_HEADER_LEN
     segments = ceil(file_bytes / mss)
     return TransferFrameProfile(
         segments=segments,
@@ -227,11 +195,14 @@ def exfil_projection(bytes_per_packet: int, packets_per_day: int) -> ExfilProjec
 
 
 # ---------------------------------------------------------------------------
-# overhead
+# the paper's two tables: one record per row
 
 
-@dataclass(frozen=True)
-class OverheadReport:
+class OverheadRow(NamedTuple):
+    """Transfer time of one file sent directly and through the tap."""
+
+    name: str
+    size_kb: int
     direct_ms: float
     stego_ms: float
 
@@ -246,37 +217,15 @@ class OverheadReport:
         return self.stego_ms / self.direct_ms
 
 
-def _as_ms(value: Union[TransferTrace, int, float]) -> float:
-    if isinstance(value, TransferTrace):
-        return value.total_time_ns / 1e6
-    return float(value)
-
-
-def overhead_report(
-    direct: Union[TransferTrace, int, float], stego: Union[TransferTrace, int, float]
-) -> OverheadReport:
-    """Transfer-time overhead of an intercepted run over a direct run.
-
-    Accepts :class:`~netsteglab.netsim.TransferTrace` objects or
-    plain millisecond values (for comparing recorded measurements).
-    """
-    return OverheadReport(_as_ms(direct), _as_ms(stego))
-
-
-# ---------------------------------------------------------------------------
-# reference data sets
-
-
 @dataclass(frozen=True)
 class ImageSpec:
-    """A benchmark image: geometry, storage depth, and usable carrier planes."""
+    """A benchmark image: geometry and storage depth, one carrier plane."""
 
     name: str
     structure: str
     width: int
     height: int
     bpp: int
-    carrier_layers: int = 1
 
     @property
     def dimensions(self) -> str:
@@ -291,8 +240,8 @@ class ImageSpec:
         return round(self.file_bytes / 1024)
 
     @property
-    def capacity(self) -> CapacityReport:
-        return lsb_capacity(self.width, self.height, self.bpp, self.carrier_layers, 1)
+    def capacity_bits(self) -> int:
+        return lsb_capacity(self.width, self.height)
 
 
 # The standard image-processing benchmark set used throughout: RGB images
@@ -308,58 +257,16 @@ REFERENCE_IMAGES: Tuple[ImageSpec, ...] = (
 )
 
 # Wall-clock transfer times measured on the original RT-NDS prototype's
-# physical testbed (name, size KB, direct ms, intercepted ms).  Absolute
-# values are hardware-specific and are not simulation targets; only the
-# difference arithmetic is reproduced.
-REFERENCE_TESTBED_MS: Tuple[Tuple[str, int, float, float], ...] = (
-    ("Peppers", 768, 85.67, 661.01),
-    ("Baboon", 768, 83.15, 642.12),
-    ("Barbara", 764, 81.18, 531.23),
-    ("Lena", 768, 83.48, 627.15),
-    ("Diamond", 65, 7.28, 42.82),
-    ("House", 65, 8.59, 43.23),
+# physical testbed.  Absolute values are hardware-specific and are not
+# simulation targets; only the difference arithmetic is reproduced.
+REFERENCE_TESTBED_MS: Tuple[OverheadRow, ...] = (
+    OverheadRow("Peppers", 768, 85.67, 661.01),
+    OverheadRow("Baboon", 768, 83.15, 642.12),
+    OverheadRow("Barbara", 764, 81.18, 531.23),
+    OverheadRow("Lena", 768, 83.48, 627.15),
+    OverheadRow("Diamond", 65, 7.28, 42.82),
+    OverheadRow("House", 65, 8.59, 43.23),
 )
-
-
-class CapacityRow(NamedTuple):
-    name: str
-    structure: str
-    dimensions: str
-    size_kb: int
-    capacity_bits: int
-
-
-def capacity_table(images: Sequence[ImageSpec] = REFERENCE_IMAGES) -> List[CapacityRow]:
-    return [
-        CapacityRow(
-            name=img.name,
-            structure=img.structure,
-            dimensions=img.dimensions,
-            size_kb=img.size_kb,
-            capacity_bits=img.capacity.carrier_bits,
-        )
-        for img in images
-    ]
-
-
-class OverheadRow(NamedTuple):
-    name: str
-    size_kb: int
-    direct_ms: float
-    stego_ms: float
-    delta_ms: float
-    ratio: float
-
-
-def reference_overhead_rows() -> List[OverheadRow]:
-    """Recorded testbed timings with the difference column recomputed."""
-    rows = []
-    for name, size_kb, direct_ms, stego_ms in REFERENCE_TESTBED_MS:
-        rep = overhead_report(direct_ms, stego_ms)
-        rows.append(
-            OverheadRow(name, size_kb, direct_ms, stego_ms, rep.delta_ms, rep.ratio)
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +287,7 @@ def _render_aligned(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str
 def render_capacity_table(images: Sequence[ImageSpec] = REFERENCE_IMAGES) -> str:
     rows = [
         (r.name, r.structure, r.dimensions, str(r.size_kb), f"{r.capacity_bits:,}")
-        for r in capacity_table(images)
+        for r in images
     ]
     return _render_aligned(
         ("Image", "Structure", "Dimensions", "Size (KB)", "LSB capacity (bits)"), rows
@@ -389,16 +296,14 @@ def render_capacity_table(images: Sequence[ImageSpec] = REFERENCE_IMAGES) -> str
 
 def capacity_table_csv(images: Sequence[ImageSpec] = REFERENCE_IMAGES) -> str:
     lines = ["image,structure,dimensions,size_kb,capacity_bits"]
-    for r in capacity_table(images):
+    for r in images:
         lines.append(
             f"{r.name},{r.structure},{r.dimensions},{r.size_kb},{r.capacity_bits}"
         )
     return "\n".join(lines) + "\n"
 
 
-def render_overhead_table(rows: Sequence[OverheadRow] = None) -> str:
-    if rows is None:
-        rows = reference_overhead_rows()
+def render_overhead_table(rows: Sequence[OverheadRow] = REFERENCE_TESTBED_MS) -> str:
     cells = [
         (
             r.name,
@@ -416,9 +321,7 @@ def render_overhead_table(rows: Sequence[OverheadRow] = None) -> str:
     )
 
 
-def overhead_table_csv(rows: Sequence[OverheadRow] = None) -> str:
-    if rows is None:
-        rows = reference_overhead_rows()
+def overhead_table_csv(rows: Sequence[OverheadRow] = REFERENCE_TESTBED_MS) -> str:
     lines = ["image,size_kb,direct_ms,stego_ms,delta_ms,ratio"]
     for r in rows:
         lines.append(

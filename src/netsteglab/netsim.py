@@ -20,6 +20,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, List, Optional, Sequence
 
 from .wirecodec import (
@@ -78,8 +79,11 @@ class LinkModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.propagation_ms < 0 or self.processing_us < 0 or self.jitter_ms < 0:
-            raise ValueError("delays must be non-negative")
+        if not all(
+            0 <= delay < inf
+            for delay in (self.propagation_ms, self.processing_us, self.jitter_ms)
+        ):
+            raise ValueError("delays must be finite and non-negative")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
         if not 0.0 <= self.reorder_rate <= 1.0:
@@ -114,8 +118,9 @@ class TcpLiteEndpoint:
             raise ValueError("isn out of 32-bit range")
         if self.mss < 1:
             raise ValueError("mss must be at least 1")
-        if self.recv_buffer < 1:
-            raise ValueError("recv_buffer must be at least 1")
+        # The window field is 16 bits and there is no window scaling.
+        if not 1 <= self.recv_buffer <= 0xFFFF:
+            raise ValueError("recv_buffer must be in [1, 65535]")
 
 
 @dataclass(frozen=True)
@@ -296,14 +301,15 @@ class _Sim:
             )
         self.send_syn()
         self.schedule(self.now + self.rto_ns, self.on_hs_timer)
+        # A live timer stays queued until completion (the handshake timer
+        # requeues itself, then every arm_timer leaves one on_timer), so
+        # the queue drains only after the final ACK.
         while self.queue:
             t_ns, _, fn, args = heapq.heappop(self.queue)
             if t_ns > self.max_time_ns:
                 raise Stalled(f"no completion within {self.max_time_ns} ns")
             self.now = t_ns
             fn(*args)
-        if self.completed_at is None:
-            raise Stalled("event queue drained before completion")
         return TransferTrace(
             events=tuple(self.events),
             rtt_estimate_ns=self.rtt_estimate or 0,
@@ -325,7 +331,7 @@ class _Sim:
         frame = build_tcp_frame(
             src_ip=src_ip, dst_ip=dst_ip, src_port=src_port, dst_port=dst_port,
             seq=seq, ack=ack, flags=flags, payload=payload, window=end.recv_buffer,
-            ip_id=next(self.ip_id[direction]),
+            ip_id=next(self.ip_id[direction]) & 0xFFFF,  # wraps, as in RFC 791
             dst_mac=dst_mac, src_mac=src_mac, with_fcs=True,
         )
         self.transmit(frame, direction, kind, on_arrive)
@@ -450,6 +456,8 @@ def simulate_transfer(
     handshake.  Raises :class:`Stalled` when no progress is possible or the
     time budget runs out.
     """
+    if tap_delay_ns < 0:
+        raise ValueError("tap_delay_ns must be >= 0")
     sim = _Sim(
         payload=bytes(payload),
         link=link,

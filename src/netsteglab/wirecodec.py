@@ -553,7 +553,6 @@ class PcapFile:
 
     records: tuple = ()
     snaplen: int = 65535
-    linktype: int = LINKTYPE_ETHERNET
     thiszone: int = 0
     sigfigs: int = 0
 
@@ -564,9 +563,7 @@ def ns_to_pcap_ts(t_ns: int) -> tuple:
 
 
 def write_pcap(out: Union[str, BinaryIO], pcap: PcapFile) -> None:
-    """Write a :class:`PcapFile` as little-endian pcap."""
-    if pcap.linktype != LINKTYPE_ETHERNET:
-        raise UnsupportedLinktype(f"linktype {pcap.linktype}")
+    """Write a :class:`PcapFile` as little-endian Ethernet pcap."""
     close = False
     if isinstance(out, str):
         out = open(out, "wb")
@@ -574,7 +571,7 @@ def write_pcap(out: Union[str, BinaryIO], pcap: PcapFile) -> None:
     try:
         out.write(_GLOBAL_HEADER.pack(
             PCAP_MAGIC, *PCAP_VERSION, pcap.thiszone, pcap.sigfigs, pcap.snaplen,
-            pcap.linktype,
+            LINKTYPE_ETHERNET,
         ))
         for rec in pcap.records:
             out.write(
@@ -631,7 +628,6 @@ def read_pcap(source: Union[str, bytes, BinaryIO]) -> PcapFile:
     return PcapFile(
         records=tuple(records),
         snaplen=snaplen,
-        linktype=linktype,
         thiszone=thiszone,
         sigfigs=sigfigs,
     )

@@ -13,13 +13,12 @@ from math import ceil
 import pytest
 
 from netsteglab.analytics import (
+    OverheadRow,
     REFERENCE_IMAGES,
-    capacity_table,
+    REFERENCE_TESTBED_MS,
     covert_channel_yield,
     exfil_projection,
     audio_capacity,
-    overhead_report,
-    reference_overhead_rows,
     transfer_frame_profile,
 )
 from netsteglab.bmp import make_bmp, parse_bmp_info
@@ -105,7 +104,7 @@ def _oracle_embed(file_bytes, policy):
 
 def test_criterion_1_capacity_values_exact(capsys):
     started = time.monotonic()
-    bits = [row.capacity_bits for row in capacity_table()]
+    bits = [img.capacity_bits for img in REFERENCE_IMAGES]
     elapsed = time.monotonic() - started
     expected = [262_144, 262_144, 260_100, 262_144, 65_536, 65_536]
     ok = bits == expected and elapsed < 1.0
@@ -311,10 +310,9 @@ def test_criterion_7_determinism(capsys, tmp_path):
 
 def test_criterion_8_overhead_shape(capsys):
     printed_deltas = [575.35, 558.97, 450.05, 543.67, 35.54, 34.64]
-    rows = reference_overhead_rows()
     recomputed_ok = all(
         abs(row.delta_ms - printed) <= 0.01 + 1e-9
-        for row, printed in zip(rows, printed_deltas)
+        for row, printed in zip(REFERENCE_TESTBED_MS, printed_deltas)
     )
 
     deltas = {}
@@ -326,7 +324,10 @@ def test_criterion_8_overhead_shape(capsys):
         tapped = simulate_transfer(
             payload, link, tap=interceptor.process, tap_delay_ns=50_000
         )
-        deltas[img.name] = (len(payload), overhead_report(direct, tapped).delta_ms)
+        row = OverheadRow(
+            img.name, img.size_kb, direct.total_time_ns / 1e6, tapped.total_time_ns / 1e6
+        )
+        deltas[img.name] = (len(payload), row.delta_ms)
     nonneg = all(delta >= 0 for _, delta in deltas.values())
     ordered = sorted(deltas.values())
     monotone = all(

@@ -13,7 +13,6 @@ import math
 import pytest
 
 from netsteglab.analytics import (
-    CapacityReport,
     DataState,
     ImageSpec,
     ModificationLocus,
@@ -23,21 +22,18 @@ from netsteglab.analytics import (
     StegoClass,
     TaxonomyInput,
     audio_capacity,
-    capacity_table,
     capacity_table_csv,
     classify_taxonomy,
     covert_channel_yield,
     exfil_projection,
     lsb_capacity,
-    overhead_report,
     overhead_table_csv,
-    reference_overhead_rows,
     render_capacity_table,
     render_overhead_table,
     transfer_frame_profile,
 )
 from netsteglab.bmp import bmp_file_size
-from netsteglab.netsim import LinkModel, TransferTrace, simulate_transfer
+from netsteglab.netsim import LinkModel, simulate_transfer
 
 DAR, DIM, DIU = DataState.DAR, DataState.DIM, DataState.DIU
 PRE = ModificationLocus.PRE_TRANSIT
@@ -123,45 +119,34 @@ def test_taxonomy_input_normalizes_iterables():
 
 
 def test_lsb_capacity_red_layer_of_rgb_512():
-    report = lsb_capacity(512, 512, 24, carrier_layers=1)
-    assert report.carrier_bits == 262_144
-    assert report.carrier_bytes == 32_768
+    assert lsb_capacity(512, 512, carrier_layers=1) == 262_144
 
 
 def test_lsb_capacity_510_grayscale_benchmark():
-    assert lsb_capacity(510, 510, 24).carrier_bits == 260_100
+    assert lsb_capacity(510, 510) == 260_100
 
 
 def test_lsb_capacity_256_8bpp():
-    assert lsb_capacity(256, 256, 8).carrier_bits == 65_536
+    assert lsb_capacity(256, 256) == 65_536
 
 
 def test_lsb_capacity_scales_with_layers_and_depth():
-    assert lsb_capacity(512, 512, 24, carrier_layers=3).carrier_bits == 786_432
-    assert lsb_capacity(512, 512, 24, bits_per_carrier_byte=2).carrier_bits == 524_288
-    assert lsb_capacity(10, 10, 8).carrier_bits == 100
-
-
-def test_lsb_capacity_records_assumptions():
-    report = lsb_capacity(16, 8, 24, carrier_layers=1, bits_per_carrier_byte=1)
-    assumed = dict(report.assumptions)
-    assert assumed == {
-        "width": 16, "height": 8, "bpp": 24,
-        "carrier_layers": 1, "bits_per_carrier_byte": 1,
-    }
+    assert lsb_capacity(512, 512, carrier_layers=3) == 786_432
+    assert lsb_capacity(512, 512, bits_per_carrier_byte=2) == 524_288
+    assert lsb_capacity(10, 10) == 100
 
 
 def test_lsb_capacity_validation():
-    for bad in [(0, 5, 24), (5, 0, 24), (5, 5, 0)]:
+    for bad in [(0, 5), (5, 0)]:
         with pytest.raises(ValueError):
             lsb_capacity(*bad)
     with pytest.raises(ValueError):
-        lsb_capacity(5, 5, 24, carrier_layers=0)
-
-
-def test_capacity_report_bytes_invariant():
-    for bits in [1, 7, 8, 9, 262_144]:
-        assert CapacityReport(bits, ()).carrier_bytes == bits // 8
+        lsb_capacity(5, 5, carrier_layers=0)
+    with pytest.raises(ValueError):
+        lsb_capacity(5, 5, bits_per_carrier_byte=0)
+    # Layers and depth are keyword-only: a third positional is not a bpp.
+    with pytest.raises(TypeError):
+        lsb_capacity(5, 5, 24)
 
 
 def test_audio_capacity_pcm_identities():
@@ -229,15 +214,15 @@ def test_exfil_projection_identities():
 
 
 def test_overhead_report_from_measured_milliseconds():
-    report = overhead_report(85.67, 661.01)
+    report = OverheadRow("Peppers", 768, 85.67, 661.01)
     assert report.direct_ms == pytest.approx(85.67)
     assert report.delta_ms == pytest.approx(575.34, abs=1e-9)
     assert report.ratio == pytest.approx(661.01 / 85.67)
 
 
 def test_overhead_report_zero_baseline():
-    assert overhead_report(0, 0).ratio == 1.0
-    assert overhead_report(0, 5.0).ratio == math.inf
+    assert OverheadRow("X", 0, 0, 0).ratio == 1.0
+    assert OverheadRow("X", 0, 0, 5.0).ratio == math.inf
 
 
 def test_overhead_report_from_simulated_traces():
@@ -247,7 +232,7 @@ def test_overhead_report_from_simulated_traces():
     stego = simulate_transfer(
         payload, link, tap=lambda frame: frame, tap_delay_ns=50_000
     )
-    report = overhead_report(direct, stego)
+    report = OverheadRow("X", 6, direct.total_time_ns / 1e6, stego.total_time_ns / 1e6)
     assert report.delta_ms > 0
     # Every window round crosses the tap twice, 50 us per crossing.
     rounds = round(report.delta_ms * 1e6 / (2 * 50_000))
@@ -270,8 +255,11 @@ EXPECTED_CAPACITY_ROWS = [
 
 
 def test_capacity_table_frozen_rows():
-    rows = capacity_table()
-    assert [tuple(r) for r in rows] == EXPECTED_CAPACITY_ROWS
+    rows = [
+        (r.name, r.structure, r.dimensions, r.size_kb, r.capacity_bits)
+        for r in REFERENCE_IMAGES
+    ]
+    assert rows == EXPECTED_CAPACITY_ROWS
 
 
 def test_capacity_table_sizes_follow_file_layout():
@@ -284,7 +272,7 @@ def test_image_spec_properties():
     spec = ImageSpec("X", "RGB", 512, 512, 24)
     assert spec.dimensions == "512x512x3"
     assert spec.file_bytes == 786_486
-    assert spec.capacity.carrier_bits == 262_144
+    assert spec.capacity_bits == 262_144
 
 
 # Published difference column for the recorded testbed rows; reproduced to
@@ -294,7 +282,7 @@ PRINTED_DELTAS = [575.35, 558.97, 450.05, 543.67, 35.54, 34.64]
 
 
 def test_reference_overhead_rows_recompute_difference_column():
-    rows = reference_overhead_rows()
+    rows = REFERENCE_TESTBED_MS
     assert [r.name for r in rows] == [
         "Peppers", "Baboon", "Barbara", "Lena", "Diamond", "House",
     ]
@@ -348,6 +336,65 @@ def test_overhead_table_csv_parses():
 
 
 def test_overhead_table_csv_accepts_custom_rows():
-    row = OverheadRow("Tiny", 1, 1.0, 2.0, 1.0, 2.0)
+    row = OverheadRow("Tiny", 1, 1.0, 2.0)
     text = overhead_table_csv([row])
     assert text.splitlines()[1] == "Tiny,1,1.00,2.00,1.00,2.0000"
+
+
+# The four reference tables byte for byte: the paper's rows as the CLI and
+# demo 06 print them and as `capacity --out-dir` writes them.
+PINNED_CAPACITY_TEXT = """\
+Image    Structure  Dimensions  Size (KB)  LSB capacity (bits)
+-------  ---------  ----------  ---------  -------------------
+Peppers  RGB        512x512x3   768        262,144
+Baboon   RGB        512x512x3   768        262,144
+Barbara  Grayscale  510x510x3   763        260,100
+Lena     Grayscale  512x512x3   768        262,144
+Diamond  Grayscale  256x256x1   65         65,536
+House    Grayscale  256x256x1   65         65,536
+"""
+
+PINNED_CAPACITY_CSV = """\
+image,structure,dimensions,size_kb,capacity_bits
+Peppers,RGB,512x512x3,768,262144
+Baboon,RGB,512x512x3,768,262144
+Barbara,Grayscale,510x510x3,763,260100
+Lena,Grayscale,512x512x3,768,262144
+Diamond,Grayscale,256x256x1,65,65536
+House,Grayscale,256x256x1,65,65536
+"""
+
+PINNED_OVERHEAD_TEXT = """\
+Image    Size (KB)  Direct (ms)  RT-NDS (ms)  Difference (ms)  Ratio
+-------  ---------  -----------  -----------  ---------------  -----
+Peppers  768        85.67        661.01       575.34           7.72
+Baboon   768        83.15        642.12       558.97           7.72
+Barbara  764        81.18        531.23       450.05           6.54
+Lena     768        83.48        627.15       543.67           7.51
+Diamond  65         7.28         42.82        35.54            5.88
+House    65         8.59         43.23        34.64            5.03
+"""
+
+PINNED_OVERHEAD_CSV = """\
+image,size_kb,direct_ms,stego_ms,delta_ms,ratio
+Peppers,768,85.67,661.01,575.34,7.7158
+Baboon,768,83.15,642.12,558.97,7.7224
+Barbara,764,81.18,531.23,450.05,6.5439
+Lena,768,83.48,627.15,543.67,7.5126
+Diamond,65,7.28,42.82,35.54,5.8819
+House,65,8.59,43.23,34.64,5.0326
+"""
+
+
+@pytest.mark.parametrize(
+    "render,expected",
+    [
+        (render_capacity_table, PINNED_CAPACITY_TEXT),
+        (capacity_table_csv, PINNED_CAPACITY_CSV),
+        (render_overhead_table, PINNED_OVERHEAD_TEXT),
+        (overhead_table_csv, PINNED_OVERHEAD_CSV),
+    ],
+    ids=["capacity-text", "capacity-csv", "overhead-text", "overhead-csv"],
+)
+def test_reference_tables_are_pinned_byte_for_byte(render, expected):
+    assert render() == expected

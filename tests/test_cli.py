@@ -182,6 +182,36 @@ def test_negative_length_is_usage_error(capsys, tmp_path, length, via):
     assert "bits:" not in out
 
 
+DELAY_FLAGS = [
+    ("transfer", "--tp-ms"),
+    ("transfer", "--tnp-us"),
+    ("transfer", "--jitter-ms"),
+    ("transfer", "--tap-us"),
+    ("channel", "--gap-ms"),
+    ("channel", "--delta-ms"),
+    ("channel", "--threshold-ms"),
+]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("value", ["-5", "inf", "nan"])
+@pytest.mark.parametrize("command, flag", DELAY_FLAGS)
+def test_delay_must_be_finite_and_non_negative(capsys, tmp_path, command, flag, value, via):
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text(f"{flag[2:]} = {value}\n")
+    setting = ["--config", cfg] if via == "config" else [f"{flag}={value}"]
+    if command == "transfer":
+        argv = ["transfer", "--seed", 1, "--width", 8, "--height", 8, "--out-dir", tmp_path]
+    else:
+        argv = ["channel", "encode", "--channel", "timing", "--message", "c0de",
+                "--out", tmp_path / "t.pcap"]
+    code, out, err = run([*argv, *setting], capsys)
+    assert code == 2
+    assert flag in err
+    assert "Traceback" not in out + err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 # Each command takes only the flags it reads.
 DEAD_FLAGS = [
     (["rewrite-pcap", "--in", "a.pcap", "--out", "b.pcap", "--message", "ab"], "--seed"),

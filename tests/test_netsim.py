@@ -106,6 +106,39 @@ def test_link_model_validation():
         LinkModel(propagation_ms=-1)
 
 
+@pytest.mark.parametrize("field", ["propagation_ms", "processing_us", "jitter_ms"])
+@pytest.mark.parametrize("value", [-1.0, float("inf"), float("nan")])
+def test_link_model_rejects_delays_that_are_negative_or_not_finite(field, value):
+    with pytest.raises(ValueError, match="delays"):
+        LinkModel(**{field: value})
+
+
+def test_negative_tap_delay_rejected():
+    with pytest.raises(ValueError, match="tap_delay_ns"):
+        simulate_transfer(payload_bytes(100), LinkModel(), tap=lambda f: f, tap_delay_ns=-1)
+
+
+def test_recv_buffer_must_fit_the_16_bit_window():
+    assert TcpLiteEndpoint(recv_buffer=0xFFFF).recv_buffer == 0xFFFF
+    for bad in (0, 0x10000, 65_600):
+        with pytest.raises(ValueError, match="recv_buffer"):
+            TcpLiteEndpoint(recv_buffer=bad)
+
+
+def test_ip_id_wraps_modulo_2_16_past_65535_frames():
+    """IPv4 identification wraps (RFC 791): the SYN and 65,535 one-byte
+    segments are 65,536 client frames, the last of which carries id 0."""
+    payload = payload_bytes(0xFFFF, seed=9)
+    trace = simulate_transfer(
+        payload, LinkModel(), sender=TcpLiteEndpoint(mss=1),
+        receiver=TcpLiteEndpoint(isn=0x20000000, recv_buffer=0xFFFF),
+    )
+    assert trace.delivered == payload
+    ids = [e.frame.ip.identification for e in trace.events if e.direction == "c2s"]
+    assert len(ids) == 1 << 16
+    assert ids == [i & 0xFFFF for i in range(1, len(ids) + 1)]
+
+
 # ---------------------------------------------------------------------------
 # clean-link timing equals the greedy oracle
 

@@ -865,6 +865,38 @@ def test_parse_frame_on_mutated_frames_raises_only_wire_error(
         assert tcp_checksum_ok(spliced) and fcs_ok(spliced)
 
 
+# Arbitrary values for the header fields that decide lengths, each written
+# into a valid frame at its offset: (offset, struct format, value).  Total
+# lengths near the headers', short payloads and unfragmented TCP are drawn
+# often, so that a run of 100 examples reaches most of the parser's seven
+# length checks, and usually all of them.
+length_fields = st.lists(
+    st.one_of(
+        st.tuples(st.just(14), st.just("!B"), st.integers(0, 15).map(lambda ihl: 0x40 | ihl)),
+        st.tuples(st.just(16), st.just("!H"), st.integers(0, 0xFFFF) | st.integers(0, 80)),
+        st.tuples(st.just(20), st.just("!H"), st.sampled_from([0, IP_FLAG_DF << 13])
+                  | st.integers(0, 0xFFFF)),
+        st.tuples(st.just(23), st.just("!B"), st.just(6) | st.integers(0, 255)),
+        st.tuples(st.just(46), st.just("!B"), st.integers(0, 15).map(lambda off: off << 4)),
+    ),
+    min_size=1, max_size=5,
+)
+
+
+@given(st.integers(0, 10_000), st.integers(0, 8) | st.integers(0, 80), st.booleans(),
+       length_fields)
+def test_parse_frame_on_arbitrary_length_fields_raises_only_wire_error(
+    seed, payload_len, with_fcs, fields
+):
+    """IHL, total length, flags/fragment offset, protocol and data offset."""
+    rng = random.Random(seed)
+    frame = _random_frame(rng, with_fcs=with_fcs, payload=rng.randbytes(payload_len))
+    wire = bytearray(frame.emit())
+    for at, fmt, value in fields:
+        struct.pack_into(fmt, wire, at, value)
+    _parsed_or_none(bytes(wire), with_fcs)
+
+
 PCAP_LE_HEADER = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
 PCAP_BE_HEADER = struct.pack(">IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
 
