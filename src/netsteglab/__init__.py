@@ -11,12 +11,15 @@ from .wirecodec import (
     EthernetFrame,
     Ipv4Header,
     PcapFile,
+    PcapReader,
     PcapRecord,
+    PcapWriter,
     TcpHeader,
     WireError,
     build_tcp_frame,
     fcs32,
     internet_checksum,
+    iter_pcap,
     parse_frame,
     read_pcap,
     tcp_checksum_ok,
@@ -63,9 +66,10 @@ from .analytics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EthernetFrame", "Ipv4Header", "TcpHeader", "PcapFile", "PcapRecord",
-    "WireError", "build_tcp_frame", "fcs32", "internet_checksum",
-    "parse_frame", "read_pcap", "tcp_checksum_ok", "write_pcap",
+    "EthernetFrame", "Ipv4Header", "TcpHeader", "PcapFile", "PcapReader",
+    "PcapRecord", "PcapWriter", "WireError", "build_tcp_frame", "fcs32",
+    "internet_checksum", "iter_pcap", "parse_frame", "read_pcap",
+    "tcp_checksum_ok", "write_pcap",
     "BitMessage", "CovertChannelError", "HttpHeaderConfig", "TimingConfig",
     "TtlConfig",
     "BmpInfo", "NotBmp", "UnsupportedBpp", "make_bmp", "parse_bmp_info",

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from functools import cache
 from itertools import accumulate
 from math import ceil, inf
@@ -71,7 +70,9 @@ from .netsim import (
 from .wirecodec import (
     EthernetFrame,
     PcapFile,
+    PcapReader,
     PcapRecord,
+    PcapWriter,
     TCP_ACK,
     TCP_SYN,
     WireError,
@@ -317,32 +318,27 @@ def cmd_rewrite_pcap(args: argparse.Namespace) -> int:
     if args.in_path is None or args.out_path is None:
         raise UsageError("rewrite-pcap needs --in and --out")
     policy = _policy_from(args)
+    interceptor = Interceptor(policy)
+    modified: List[int] = []
+    frames = 0
     try:
-        capture = read_pcap(args.in_path)
-    except (WireError, OSError) as exc:
+        with PcapReader(args.in_path) as capture, PcapWriter(
+            args.out_path, capture.snaplen, capture.thiszone, capture.sigfigs
+        ) as out:
+            for frames, record in enumerate(capture, 1):
+                try:
+                    frame = parse_frame(record.frame_bytes)
+                    out_bytes = interceptor.process(frame).emit()
+                except WireError:
+                    out_bytes = record.frame_bytes  # not ours to touch
+                if out_bytes != record.frame_bytes:
+                    modified.append(frames - 1)
+                    record = record._replace(frame_bytes=out_bytes)
+                out.write(record)
+    except WireError as exc:  # the capture itself is malformed
         print(f"error: {args.in_path}: {exc}", file=sys.stderr)
         return 1
-    interceptor = Interceptor(policy)
-    records: List[PcapRecord] = []
-    modified: List[int] = []
-    for index, record in enumerate(capture.records):
-        try:
-            frame = parse_frame(record.frame_bytes)
-            out_bytes = interceptor.process(frame).emit()
-        except WireError:
-            out_bytes = record.frame_bytes  # not ours to touch
-        if out_bytes != record.frame_bytes:
-            modified.append(index)
-        records.append(
-            PcapRecord(
-                ts_sec=record.ts_sec,
-                ts_usec=record.ts_usec,
-                frame_bytes=out_bytes,
-                orig_len=record.orig_len,
-            )
-        )
-    write_pcap(args.out_path, replace(capture, records=tuple(records)))
-    print(f"frames: {len(records)}, modified: {len(modified)}")
+    print(f"frames: {frames}, modified: {len(modified)}")
     if modified:
         print("modified indices: " + ",".join(str(i) for i in modified))
     print(report_csv(interceptor.flow_reports()), end="")
@@ -627,7 +623,8 @@ def _build_parser() -> argparse.ArgumentParser:
     width, height, bpp = SYNTHETIC_CARRIER
     arg("--width", type=int, help=f"synthetic carrier width (default {width})")
     arg("--height", type=int, help=f"synthetic carrier height (default {height})")
-    arg("--bpp", type=int, help=f"synthetic carrier depth, 8 or 24 (default {bpp})")
+    arg("--bpp", type=int, choices=(8, 24),
+        help=f"synthetic carrier depth, 8 or 24 (default {bpp})")
     arg("--mss", type=int, default=1460,
         help="TCP segment payload size (default %(default)s)")
     arg("--tp-ms", type=delay, default=10.0,

@@ -213,10 +213,10 @@ def track(
     first data frame seen.  Offsets are sequence numbers relative to
     ``base_seq`` modulo 2**32, so retransmits map to identical ranges.
     """
-    if frame.ip is None or frame.tcp is None:
+    ip, tcp = frame.ip, frame.tcp
+    if ip is None or tcp is None:
         raise ValueError("track needs a TCP frame")
-    tcp = frame.tcp
-    key = (frame.ip.src_ip, frame.ip.dst_ip, tcp.src_port, tcp.dst_port)
+    key = (ip.src_ip, ip.dst_ip, tcp.src_port, tcp.dst_port)
     state = flows.get(key)
     if state is None:
         if tcp.flags & TCP_SYN:
@@ -227,7 +227,9 @@ def track(
     if tcp.flags & TCP_SYN:
         return key, state, (0, 0)
     start = (tcp.seq - state.base_seq) % SEQ_MOD
-    return key, state, (start, start + len(frame.tcp_payload))
+    # The parser checked both header lengths against the total length, so
+    # this is len(frame.tcp_payload) without copying the payload.
+    return key, state, (start, start + ip.total_length - 4 * (ip.ihl + tcp.data_offset))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,13 @@ checksum, the IEEE CRC-32 frame check sequence, and classic pcap files.
 Everything round-trips: ``parse_frame(data).emit() == data`` for any frame
 this module accepts, and a pcap read here and written back is byte-identical.
 
+The pcap format is written down once, as a stream: :class:`PcapReader` (and
+:func:`iter_pcap`, for the records alone) reads a capture one record at a
+time, and :class:`PcapWriter` writes one record per call, so a capture can
+pass from one to the other in constant memory.  :func:`read_pcap` and
+:func:`write_pcap` hold a whole capture as a :class:`PcapFile` and are thin
+wrappers over the two.
+
 A frame is its bytes.  :class:`EthernetFrame` holds only its wire bytes
 (and whether they end in an FCS), and constructing one parses them, so its
 ``ip`` and ``tcp`` views can never disagree with the wire.
@@ -21,11 +28,14 @@ bytes raise :class:`WireError` subclasses only.
 
 from __future__ import annotations
 
+import io
+import os
+import stat
 import struct
 import zlib
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import BinaryIO, NamedTuple, Union
+from typing import BinaryIO, Iterator, NamedTuple, Union
 
 ETHERTYPE_IPV4 = 0x0800
 PROTO_TCP = 6
@@ -271,10 +281,11 @@ def _parse_ip_layers(data: bytes, end: int):
         raise TruncatedFrame("IPv4 total length beyond captured bytes")
     flags, frag_offset = flags_frag >> 13, flags_frag & 0x1FFF
     tcp_at = ip_at + header_len
-    ip = Ipv4Header(
+    # tuple.__new__ skips the named tuples' Python-level __new__ on this hot path.
+    ip = tuple.__new__(Ipv4Header, (
         version, ihl, tos, total_length, ident, flags, frag_offset, ttl, proto, cksum,
         src, dst, data[ip_at + IPV4_MIN_HEADER:tcp_at],
-    )
+    ))
     # Only an unfragmented datagram carries a parseable TCP header.
     if proto != PROTO_TCP or frag_offset or flags & IP_FLAG_MF:
         return ip, None
@@ -288,10 +299,10 @@ def _parse_ip_layers(data: bytes, end: int):
         raise TruncatedFrame(f"TCP data offset below minimum: {data_offset}")
     if header_len + data_offset * 4 > total_length:
         raise TruncatedFrame("TCP data offset beyond segment end")
-    tcp = TcpHeader(
+    tcp = tuple.__new__(TcpHeader, (
         sport, dport, seq, ack, data_offset, off_bits & 0x1FF, window, tcp_cksum, urg,
         data[tcp_at + TCP_MIN_HEADER:tcp_at + data_offset * 4], (off_bits >> 9) & 0x7,
-    )
+    ))
     return ip, tcp
 
 
@@ -527,20 +538,33 @@ _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
 
 
-@dataclass(frozen=True)
-class PcapRecord:
-    """One captured frame: microsecond timestamp plus raw bytes (no FCS)."""
-
+class _PcapFields(NamedTuple):
     ts_sec: int
     ts_usec: int
     frame_bytes: bytes
-    orig_len: Union[int, None] = None
+    orig_len: int
 
-    def __post_init__(self) -> None:
-        if self.ts_sec < 0 or not 0 <= self.ts_usec < 1_000_000:
-            raise ValueError("timestamp out of range")
-        if self.orig_len is None:
-            object.__setattr__(self, "orig_len", len(self.frame_bytes))
+
+class PcapRecord(_PcapFields):
+    """One captured frame: microsecond timestamp plus raw bytes (no FCS).
+
+    ``orig_len`` defaults to the length of ``frame_bytes``.  Construction
+    checks that each field fits its slot of the record header and raises
+    ``ValueError`` otherwise; the reader skips that for the records it has
+    checked itself.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, ts_sec: int, ts_usec: int, frame_bytes: bytes, orig_len: Union[int, None] = None
+    ) -> "PcapRecord":
+        if orig_len is None:
+            orig_len = len(frame_bytes)
+        if not (0 <= ts_sec < 1 << 32 and 0 <= ts_usec < 1_000_000):
+            raise ValueError(f"timestamp out of range: {ts_sec} s {ts_usec} us")
+        _check_range("orig_len", orig_len, 32)
+        return tuple.__new__(cls, (ts_sec, ts_usec, frame_bytes, orig_len))
 
     @property
     def incl_len(self) -> int:
@@ -562,72 +586,187 @@ def ns_to_pcap_ts(t_ns: int) -> tuple:
     return t_ns // 1_000_000_000, (t_ns % 1_000_000_000) // 1_000
 
 
+# The buffer size of the files opened here (a stream of small records then
+# costs fewer system calls than with the default 8 KiB), and the longest
+# single read: a read of n bytes allocates n up front, so a longer record is
+# read in pieces and a corrupt length allocates no more than the file holds.
+_IO_CHUNK = 1 << 16
+
+
+def _read_in_chunks(read, n: int) -> bytes:
+    """``n`` bytes from ``read``, or fewer at end of file."""
+    parts = []
+    while n > 0:
+        part = read(min(n, _IO_CHUNK))
+        if not part:
+            break
+        parts.append(part)
+        n -= len(part)
+    return b"".join(parts)
+
+
+class PcapReader:
+    """A classic pcap (either byte order), read one record at a time.
+
+    ``source`` is a path, the capture's bytes, or a binary file.  Opening
+    reads and checks the global header and sets ``snaplen``, ``thiszone``
+    and ``sigfigs``; iterating (once) then yields each :class:`PcapRecord`
+    as it is read, so memory does not grow with the capture.  A path is
+    opened here and closed by :meth:`close` or at the end of a ``with``.
+    """
+
+    def __init__(self, source: Union[str, bytes, BinaryIO]):
+        self._owned = isinstance(source, (str, bytes, bytearray))
+        if isinstance(source, str):
+            source = open(source, "rb", buffering=_IO_CHUNK)
+        elif self._owned:
+            source = io.BytesIO(source)
+        self._in = source
+        try:
+            self._read_global_header()
+        except BaseException:
+            self.close()
+            raise
+
+    def _read_global_header(self) -> None:
+        data = self._in.read(_GLOBAL_HEADER.size)
+        if len(data) < 4:
+            raise BadMagic("file too short for a pcap magic number")
+        magic_le = struct.unpack_from("<I", data)[0]
+        if magic_le == PCAP_MAGIC:
+            endian = "<"
+        elif struct.unpack_from(">I", data)[0] == PCAP_MAGIC:
+            endian = ">"
+        else:
+            raise BadMagic(f"unknown magic 0x{magic_le:08X}")
+        if len(data) < _GLOBAL_HEADER.size:
+            raise TruncatedRecord("global header truncated")
+        _, _, _, self.thiszone, self.sigfigs, self.snaplen, linktype = struct.unpack(
+            endian + _GLOBAL_HEADER.format[1:], data
+        )
+        if linktype != LINKTYPE_ETHERNET:
+            raise UnsupportedLinktype(f"linktype {linktype}")
+        self._record_header = struct.Struct(endian + _RECORD_HEADER.format[1:])
+
+    def __iter__(self) -> Iterator[PcapRecord]:
+        read, new = self._in.read, tuple.__new__
+        size, unpack = self._record_header.size, self._record_header.unpack
+        while True:
+            head = read(size)
+            if not head:
+                return
+            if len(head) < size:
+                raise TruncatedRecord("record header truncated")
+            ts_sec, ts_usec, incl_len, orig_len = unpack(head)
+            body = read(incl_len) if incl_len <= _IO_CHUNK else _read_in_chunks(read, incl_len)
+            if len(body) < incl_len:
+                raise TruncatedRecord("record body truncated")
+            if ts_usec >= 1_000_000:
+                raise BadTimestamp(f"record microseconds {ts_usec} out of range")
+            yield new(PcapRecord, (ts_sec, ts_usec, body, orig_len))
+
+    def close(self) -> None:
+        if self._owned:
+            self._in.close()
+
+    def __enter__(self) -> "PcapReader":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def iter_pcap(source: Union[str, bytes, BinaryIO]) -> Iterator[PcapRecord]:
+    """The records of a classic pcap, read and yielded one at a time.
+
+    Takes what :class:`PcapReader` takes and raises what it raises; use the
+    reader itself for the global-header knobs.
+    """
+    with PcapReader(source) as capture:
+        yield from capture
+
+
+class PcapWriter:
+    """A little-endian Ethernet pcap, written one record at a time.
+
+    Opening writes the global header and :meth:`write` appends one record.
+    ``out`` is a binary file or a path.  A path to a regular or new file is
+    written through a temporary file beside it, with the permission bits a
+    plain ``open`` would leave, which :meth:`close` (or a ``with`` left
+    normally) moves into place; leaving the ``with`` by an exception
+    removes it.  So the path holds a whole capture or its old contents, and
+    may be the capture being read.  A pipe or device is written directly.
+    """
+
+    def __init__(
+        self, out: Union[str, BinaryIO], snaplen: int = 65535, thiszone: int = 0,
+        sigfigs: int = 0,
+    ):
+        header = _GLOBAL_HEADER.pack(
+            PCAP_MAGIC, *PCAP_VERSION, thiszone, sigfigs, snaplen, LINKTYPE_ETHERNET
+        )
+        self._owned = isinstance(out, str)
+        self._path = self._tmp = None
+        mode = None  # an existing regular file's mode, kept by its replacement
+        if self._owned:
+            path = os.path.realpath(out)
+            try:
+                mode = os.stat(path).st_mode
+            except FileNotFoundError:
+                pass
+            if mode is None or stat.S_ISREG(mode):
+                folder, name = os.path.split(path)
+                self._path, self._tmp = path, os.path.join(folder, f".{name}.{os.getpid()}.tmp")
+                try:
+                    out = open(self._tmp, "xb", buffering=_IO_CHUNK)
+                except OSError as exc:  # name the path asked for, not the temporary
+                    raise OSError(exc.errno, exc.strerror, out) from None
+            else:
+                out, mode = open(path, "wb"), None
+        self._out = out
+        self._write = out.write
+        try:
+            if mode is not None:
+                os.chmod(out.fileno(), stat.S_IMODE(mode))
+            out.write(header)
+        except BaseException:
+            self._finish(keep=False)
+            raise
+
+    def write(self, record: PcapRecord) -> None:
+        ts_sec, ts_usec, frame_bytes, orig_len = record
+        self._write(_RECORD_HEADER.pack(ts_sec, ts_usec, len(frame_bytes), orig_len))
+        self._write(frame_bytes)
+
+    def close(self) -> None:
+        """Finish the capture: close a path, moving its temporary file into place."""
+        self._finish(keep=True)
+
+    def _finish(self, keep: bool) -> None:
+        if self._owned:
+            self._out.close()
+        if self._tmp is not None:
+            if keep:
+                os.replace(self._tmp, self._path)
+            else:
+                os.unlink(self._tmp)
+            self._tmp = None
+
+    def __enter__(self) -> "PcapWriter":
+        return self
+
+    def __exit__(self, exc_type, *exc_info) -> None:
+        self._finish(keep=exc_type is None)
+
+
 def write_pcap(out: Union[str, BinaryIO], pcap: PcapFile) -> None:
     """Write a :class:`PcapFile` as little-endian Ethernet pcap."""
-    close = False
-    if isinstance(out, str):
-        out = open(out, "wb")
-        close = True
-    try:
-        out.write(_GLOBAL_HEADER.pack(
-            PCAP_MAGIC, *PCAP_VERSION, pcap.thiszone, pcap.sigfigs, pcap.snaplen,
-            LINKTYPE_ETHERNET,
-        ))
-        for rec in pcap.records:
-            out.write(
-                _RECORD_HEADER.pack(rec.ts_sec, rec.ts_usec, rec.incl_len, rec.orig_len)
-            )
-            out.write(rec.frame_bytes)
-    finally:
-        if close:
-            out.close()
+    with PcapWriter(out, pcap.snaplen, pcap.thiszone, pcap.sigfigs) as writer:
+        for record in pcap.records:
+            writer.write(record)
 
 
 def read_pcap(source: Union[str, bytes, BinaryIO]) -> PcapFile:
     """Read a classic pcap (either byte order); records come back in file order."""
-    if isinstance(source, str):
-        with open(source, "rb") as fh:
-            data = fh.read()
-    elif isinstance(source, (bytes, bytearray)):
-        data = bytes(source)
-    else:
-        data = source.read()
-
-    if len(data) < 4:
-        raise BadMagic("file too short for a pcap magic number")
-    magic_le = struct.unpack_from("<I", data)[0]
-    if magic_le == PCAP_MAGIC:
-        endian = "<"
-    elif struct.unpack_from(">I", data)[0] == PCAP_MAGIC:
-        endian = ">"
-    else:
-        raise BadMagic(f"unknown magic 0x{magic_le:08X}")
-    if len(data) < _GLOBAL_HEADER.size:
-        raise TruncatedRecord("global header truncated")
-    header = struct.Struct(endian + "IHHiIII")
-    _, _, _, thiszone, sigfigs, snaplen, linktype = header.unpack_from(data)
-    if linktype != LINKTYPE_ETHERNET:
-        raise UnsupportedLinktype(f"linktype {linktype}")
-
-    record_header = struct.Struct(endian + "IIII")
-    records = []
-    offset = header.size
-    while offset < len(data):
-        if offset + record_header.size > len(data):
-            raise TruncatedRecord("record header truncated")
-        ts_sec, ts_usec, incl_len, orig_len = record_header.unpack_from(data, offset)
-        offset += record_header.size
-        if offset + incl_len > len(data):
-            raise TruncatedRecord("record body truncated")
-        if ts_usec >= 1_000_000:
-            raise BadTimestamp(f"record microseconds {ts_usec} out of range")
-        records.append(
-            PcapRecord(ts_sec, ts_usec, data[offset:offset + incl_len], orig_len)
-        )
-        offset += incl_len
-    return PcapFile(
-        records=tuple(records),
-        snaplen=snaplen,
-        thiszone=thiszone,
-        sigfigs=sigfigs,
-    )
+    with PcapReader(source) as capture:
+        return PcapFile(tuple(capture), capture.snaplen, capture.thiszone, capture.sigfigs)

@@ -10,6 +10,7 @@ CLI as a separate process: the ``stegctl`` target declared in
 
 import hashlib
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +181,23 @@ def test_negative_length_is_usage_error(capsys, tmp_path, length, via):
     assert "--length" in err
     assert "Traceback" not in out + err
     assert "bits:" not in out
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("bpp", [16, 32])
+def test_bpp_other_than_8_or_24_is_usage_error(capsys, tmp_path, bpp, via):
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(f"bpp = {bpp}\n")
+    setting = ["--config", cfg] if via == "config" else ["--bpp", bpp]
+    out_dir = tmp_path / "out"
+    code, out, err = run(
+        ["transfer", "--seed", 1, "--width", 8, "--height", 8, *setting,
+         "--out-dir", out_dir], capsys,
+    )
+    assert code == 2
+    assert "--bpp" in err
+    assert "Traceback" not in out + err
+    assert not out_dir.exists()
 
 
 DELAY_FLAGS = [
@@ -630,6 +648,18 @@ def test_cli_empty_message_writes_empty_pcap(capsys, tmp_path):
     assert read_pcap(str(pcap)).records == ()
 
 
+def test_timing_timestamps_past_32_bits_are_an_error_writing_nothing(capsys, tmp_path):
+    pcap = tmp_path / "x.pcap"
+    code, out, err = run(
+        ["channel", "encode", "--channel", "timing", "--message", "c0",
+         "--gap-ms", "1e12", "--out", pcap], capsys,
+    )
+    assert code == 1
+    assert err.startswith("error: ") and "timestamp" in err
+    assert "Traceback" not in out + err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_timing_pcap_gap_structure(capsys, tmp_path):
     pcap = tmp_path / "t.pcap"
     run(
@@ -735,6 +765,91 @@ def test_rewrite_pcap_passes_a_record_it_cannot_parse_through_unchanged(capsys, 
         assert tcp_checksum_ok(parse_frame(out_records[index].frame_bytes))
     modified = out.split("modified indices: ")[1].split("\n")[0].split(",")
     assert str(first) in modified and str(second) not in modified
+
+
+@pytest.fixture
+def direct_pcap(capsys, tmp_path):
+    """The direct capture of a small BMP transfer, with data frames to embed into."""
+    code, _, _ = run(
+        ["transfer", "--seed", 6, "--width", 8, "--height", 8, "--mss", 100,
+         "--out-dir", tmp_path / "run"], capsys,
+    )
+    assert code == 0
+    return tmp_path / "run" / "direct.pcap"
+
+
+def test_rewrite_pcap_in_place_equals_a_fresh_output(capsys, tmp_path, direct_pcap):
+    fresh = tmp_path / "fresh.pcap"
+    code, out, _ = run(
+        ["rewrite-pcap", "--in", direct_pcap, "--out", fresh, "--message", "5a"], capsys
+    )
+    assert code == 0
+    assert "modified indices:" in out
+    in_place = tmp_path / "in_place.pcap"
+    shutil.copyfile(direct_pcap, in_place)
+    code, in_place_out, _ = run(
+        ["rewrite-pcap", "--in", in_place, "--out", in_place, "--message", "5a"], capsys
+    )
+    assert code == 0
+    assert in_place_out == out
+    assert in_place.read_bytes() == fresh.read_bytes()
+    # The output keeps the permission bits a plain open() gives a new file,
+    # and leaves no temporary file behind.
+    plain = tmp_path / "plain"
+    plain.open("wb").close()
+    assert fresh.stat().st_mode == plain.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fresh.pcap", "in_place.pcap", "plain", "run"]
+
+
+def test_rewrite_pcap_of_a_capture_cut_in_its_last_record_writes_nothing(
+    capsys, tmp_path, direct_pcap
+):
+    cut = tmp_path / "cut.pcap"
+    cut.write_bytes(direct_pcap.read_bytes()[:-10])
+    fresh = tmp_path / "fresh.pcap"
+    existing = tmp_path / "existing.pcap"
+    existing.write_bytes(b"an earlier result")
+    for out_path in (fresh, existing):
+        code, out, err = run(
+            ["rewrite-pcap", "--in", cut, "--out", out_path, "--message", "5a"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {cut}: ") and "truncated" in err
+    assert not fresh.exists()
+    assert existing.read_bytes() == b"an earlier result"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cut.pcap", "existing.pcap", "run"]
+
+
+def test_rewrite_pcap_of_a_big_endian_capture_equals_its_little_endian_twin(
+    capsys, tmp_path, direct_pcap
+):
+    """Either byte order reads the same; the output is little-endian and keeps
+    the input's snaplen, time zone and sigfigs."""
+    records = read_pcap(str(direct_pcap)).records
+    knobs = dict(snaplen=2048, thiszone=-3600, sigfigs=6)
+    little = tmp_path / "little.pcap"
+    write_pcap(str(little), PcapFile(records=records, **knobs))
+    big = tmp_path / "big.pcap"
+    big.write_bytes(
+        struct.pack(">IHHiIII", 0xA1B2C3D4, 2, 4, -3600, 6, 2048, 1)
+        + b"".join(struct.pack(">IIII", r.ts_sec, r.ts_usec, r.incl_len, r.orig_len)
+                   + r.frame_bytes for r in records)
+    )
+    outputs = []
+    for source in (little, big):
+        rewritten = tmp_path / f"{source.stem}-rewritten.pcap"
+        code, out, _ = run(
+            ["rewrite-pcap", "--in", source, "--out", rewritten, "--message", "5a"], capsys
+        )
+        assert code == 0
+        assert "modified: 0" not in out
+        outputs.append((out, rewritten.read_bytes()))
+    assert outputs[0] == outputs[1]
+    back = read_pcap(outputs[1][1])
+    assert (back.snaplen, back.thiszone, back.sigfigs) == (2048, -3600, 6)
+    assert outputs[1][1][:4] == struct.pack("<I", 0xA1B2C3D4)
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,12 @@ values.
 """
 
 import io
+import os
 import random
+import stat
 import struct
+import threading
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -23,6 +27,7 @@ from netsteglab.wirecodec import (
     IP_FLAG_MF,
     PcapFile,
     PcapRecord,
+    PcapWriter,
     TCP_NS,
     TruncatedFrame,
     TruncatedRecord,
@@ -35,6 +40,7 @@ from netsteglab.wirecodec import (
     ipv4,
     ipv4_checksum_ok,
     ipv4_str,
+    iter_pcap,
     ns_to_pcap_ts,
     parse_frame,
     read_pcap,
@@ -792,9 +798,12 @@ def test_pcap_timestamp_out_of_range_is_a_wire_error():
     data += struct.pack("<IIII", 0, 1_000_000, 0, 0)
     with pytest.raises(WireError):
         read_pcap(data)
-    # A record built by hand keeps the plain ValueError.
-    with pytest.raises(ValueError):
-        PcapRecord(ts_sec=0, ts_usec=1_000_000, frame_bytes=b"")
+    # A record built by hand keeps the plain ValueError, also for a field
+    # that would not fit its 32-bit slot of the record header.
+    for fields in (dict(ts_usec=1_000_000), dict(ts_sec=1 << 32), dict(ts_sec=-1),
+                   dict(orig_len=1 << 32)):
+        with pytest.raises(ValueError):
+            PcapRecord(**{"ts_sec": 0, "ts_usec": 0, "frame_bytes": b"", **fields})
 
 
 def test_pcap_file_io(tmp_path):
@@ -806,6 +815,82 @@ def test_pcap_file_io(tmp_path):
     write_pcap(str(path), PcapFile(records=records))
     back = read_pcap(str(path))
     assert [r.frame_bytes for r in back.records] == frames
+
+
+def _one_flow_capture(path, n: int) -> None:
+    records = (
+        PcapRecord(ts_sec=i, ts_usec=0, frame_bytes=build_tcp_frame(
+            src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=40000, dst_port=8080,
+            seq=1000 * i, payload=bytes([i & 0xFF]) * 1000,
+        ).emit())
+        for i in range(n)
+    )
+    with PcapWriter(str(path)) as writer:
+        for record in records:
+            writer.write(record)
+
+
+def test_iter_pcap_to_pcap_writer_peak_memory_stays_flat(tmp_path):
+    peaks = []
+    for n in (1000, 2000):
+        source, copy = tmp_path / f"in{n}.pcap", tmp_path / f"out{n}.pcap"
+        _one_flow_capture(source, n)
+        tracemalloc.start()
+        try:
+            with PcapWriter(str(copy)) as writer:
+                for record in iter_pcap(str(source)):
+                    writer.write(record)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert copy.read_bytes() == source.read_bytes()
+    # The capture grows by about 1 MB; the peak by no more than noise.
+    assert peaks[1] < peaks[0] + 16 * 1024, peaks
+
+
+def test_pcap_reader_takes_a_file_and_reads_long_records_in_pieces(tmp_path):
+    frame = bytes(range(256)) * 600  # longer than one read piece
+    path = tmp_path / "long.pcap"
+    write_pcap(str(path), PcapFile(records=(PcapRecord(ts_sec=1, ts_usec=2, frame_bytes=frame),)))
+    with open(path, "rb") as fh:
+        assert [r.frame_bytes for r in iter_pcap(fh)] == [frame]
+        assert not fh.closed
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(TruncatedRecord):
+        list(iter_pcap(str(path)))
+    # A corrupt length reads only what the file holds.
+    header = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
+    path.write_bytes(header + struct.pack("<IIII", 0, 0, 0xFFFFFFFF, 0) + frame)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedRecord):
+            list(iter_pcap(str(path)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_pcap_writer_on_a_pipe_and_on_a_missing_directory(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    buf = io.BytesIO()
+    capture = PcapFile(records=(PcapRecord(ts_sec=1, ts_usec=2, frame_bytes=b"frame"),))
+    write_pcap(buf, capture)
+    write_pcap(str(fifo), capture)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [buf.getvalue()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
+    # An unwritable path is reported by its own name, not its temporary's.
+    missing = str(tmp_path / "no-such-dir" / "x.pcap")
+    with pytest.raises(FileNotFoundError) as raised:
+        write_pcap(missing, capture)
+    assert raised.value.filename == missing
 
 
 def test_ns_to_pcap_ts():
