@@ -6,7 +6,9 @@ least significant bit of every carrier byte that crosses it: each pixel's
 red byte at 24 bpp, every pixel byte at 8 bpp, row padding never.  The TCP
 checksum and (when carried) the Ethernet FCS are repaired, nothing else in
 the frame changes.  A data frame that fails either check is neither stashed
-nor rewritten: it passes as it came, so the receiver still sees it fail.
+nor rewritten: it passes as it came, so the receiver still sees it fail.  A
+frame whose sums the wire layer made (``EthernetFrame.sums_known``) cannot
+fail them and is not checked again.
 
 The bit written at carrier index ``i`` is a pure function of ``i`` and the
 policy — never of arrival order — so retransmitted, reordered or
@@ -411,8 +413,9 @@ class Interceptor:
         if start == end or (not undecided and state.bmp is None):
             return frame
         # Rewriting gives a frame fresh, valid checksums, so a frame that fails
-        # them is never rewritten, and never decides its flow.
-        verified = tcp_checksum_ok(frame) and fcs_ok(frame)
+        # them is never rewritten, and never decides its flow.  A frame whose
+        # sums wirecodec made over its bytes cannot fail them.
+        verified = frame.sums_known or (tcp_checksum_ok(frame) and fcs_ok(frame))
         if verified and undecided and start < CLASSIFY_NEED:
             self._stash(state, start, frame.tcp_payload)
         if not verified or state.stash_mask != _STASH_FULL:

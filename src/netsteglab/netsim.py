@@ -12,6 +12,11 @@ generators, so identical inputs reproduce identical traces bit for bit.
 An optional ``tap`` callable sees every in-flight frame (both directions)
 and may rewrite it — the hook the in-flight embedder plugs into; a
 ``warden`` normalizes frames after the tap.  Traces export to pcap and CSV.
+
+Each endpoint drops an arriving frame (SYN, SYN-ACK, data or ACK) whose TCP
+checksum or FCS fails, and logs it as a ``drop``.  The frames the simulator
+builds carry known sums (``EthernetFrame.sums_known``), so they are not
+summed again on arrival; a frame a tap rebuilt from other bytes is.
 """
 
 from __future__ import annotations
@@ -203,6 +208,15 @@ class TransferTrace:
 TapFn = Callable[[EthernetFrame], EthernetFrame]
 
 
+def _intact(frame: EthernetFrame) -> bool:
+    """Whether an arriving frame passes its TCP checksum and FCS.
+
+    Sums that :mod:`.wirecodec` computed over a frame's bytes cannot fail,
+    so only a frame with unknown sums is checked.
+    """
+    return frame.sums_known or (tcp_checksum_ok(frame) and fcs_ok(frame))
+
+
 class _Sim:
     """Event loop and endpoint state for one simulated transfer."""
 
@@ -348,6 +362,9 @@ class _Sim:
         self.schedule(self.now + self.rto_ns, self.on_hs_timer)
 
     def on_syn_arrive(self, frame: EthernetFrame) -> None:
+        if not _intact(frame):
+            self.log("drop", DIR_C2S, frame)
+            return  # the handshake timer resends the SYN
         # Duplicate SYNs get a fresh SYN-ACK: that is the loss recovery.
         self.schedule(self.now + self.link.processing_ns, self.send_synack)
 
@@ -358,6 +375,9 @@ class _Sim:
         )
 
     def on_synack_arrive(self, frame: EthernetFrame) -> None:
+        if not _intact(frame):
+            self.log("drop", DIR_S2C, frame)
+            return  # the handshake timer resends the SYN
         if self.hs_done:
             return
         self.hs_done = True
@@ -400,7 +420,7 @@ class _Sim:
         self.arm_timer()
 
     def on_ack_arrive(self, frame: EthernetFrame) -> None:
-        if not tcp_checksum_ok(frame) or not fcs_ok(frame):
+        if not _intact(frame):
             self.log("drop", DIR_S2C, frame)
             return
         acked = (frame.tcp.ack - (self.sender.isn + 1)) % SEQ_MOD
@@ -417,7 +437,7 @@ class _Sim:
     # -- receiver ------------------------------------------------------------
 
     def on_data_arrive(self, frame: EthernetFrame) -> None:
-        if not tcp_checksum_ok(frame) or not fcs_ok(frame):
+        if not _intact(frame):
             self.log("drop", DIR_C2S, frame)
             return
         data = frame.tcp_payload

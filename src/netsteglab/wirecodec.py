@@ -19,6 +19,15 @@ A frame is its bytes.  :class:`EthernetFrame` holds only its wire bytes
 checksums (and the FCS, when carried) computed over them, and hand those to
 the same constructor.
 
+A frame this module made carries known sums: :attr:`EthernetFrame.sums_known`
+is True when :func:`build_tcp_frame` or a ``with_*`` helper computed its TCP
+checksum and FCS over its bytes (or copied a segment whose checksum was
+known good), and False for every frame made from outside bytes, where it
+means "unknown", never "bad".  Since a frame is immutable, such sums cannot
+fail, so the simulator's receiver and sender and the tap skip re-checking
+them.  The verifiers (:func:`tcp_checksum_ok`, :func:`fcs_ok`,
+:func:`ipv4_checksum_ok`) ignore the field and always recompute.
+
 Values are validated once, at the edge: the arguments of
 :func:`build_tcp_frame` and :func:`with_ip_fields` raise ``ValueError`` when
 out of range.  The ``ip`` and ``tcp`` views are read-only tuples that only
@@ -70,6 +79,7 @@ _U16 = struct.Struct("!H")
 _FCS = struct.Struct("<I")
 _IP_CHECKSUM_AT = 10
 _TCP_CHECKSUM_AT = 16
+_set = object.__setattr__  # how a frozen frame sets its derived fields
 
 
 class WireError(Exception):
@@ -199,25 +209,30 @@ class EthernetFrame:
     ``ip`` and ``tcp`` are always the IPv4 and TCP views of those bytes
     (``None`` where a layer is absent or, for TCP, fragmented).  Malformed
     bytes raise :class:`WireError`.  Frames compare and hash by
-    ``(data, has_fcs)``.
+    ``(data, has_fcs)``.  ``sums_known`` is True only on a frame whose TCP
+    checksum and FCS this module computed (see the module docstring).
     """
 
     data: bytes
     has_fcs: bool = False
     ip: Union[Ipv4Header, None] = field(init=False, compare=False)
     tcp: Union[TcpHeader, None] = field(init=False, compare=False)
+    sums_known: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        end = self._fcs_at
-        if self.has_fcs and end < ETH_HEADER_LEN:
-            raise TruncatedFrame("frame too short to carry an FCS")
+        data = self.data
+        end = len(data) - 4 if self.has_fcs else len(data)
         if end < ETH_HEADER_LEN:
-            raise TruncatedFrame("frame shorter than the Ethernet header")
+            raise TruncatedFrame(
+                "frame too short to carry an FCS" if self.has_fcs
+                else "frame shorter than the Ethernet header"
+            )
         ip = tcp = None
-        if _U16.unpack_from(self.data, 12)[0] == ETHERTYPE_IPV4:
-            ip, tcp = _parse_ip_layers(self.data, end)
-        object.__setattr__(self, "ip", ip)
-        object.__setattr__(self, "tcp", tcp)
+        if data[12:14] == b"\x08\x00":  # ETHERTYPE_IPV4
+            ip, tcp = _parse_ip_layers(data, end)
+        _set(self, "ip", ip)
+        _set(self, "tcp", tcp)
+        _set(self, "sums_known", False)
 
     @property
     def _fcs_at(self) -> int:
@@ -334,17 +349,23 @@ def _tcp_sum(ip_header: bytes, header: bytes, payload: bytes) -> int:
     )
 
 
-def _framed(head: bytes, tail: bytes, has_fcs: bool) -> EthernetFrame:
+def _framed(head: bytes, tail: bytes, has_fcs: bool, sums_known: bool) -> EthernetFrame:
     """The frame ``head + tail``, with a fresh FCS appended when ``has_fcs``.
 
     Two pieces, so the FCS is summed over them where they are and the
     frame's bytes are joined once: no frame-sized copy is made only to be
-    summed.
+    summed.  ``sums_known`` says whether the TCP checksum in ``head`` is
+    known good for these bytes: the caller computed it, or copied the
+    segment unchanged from a frame whose sums were known.
     """
-    if not has_fcs:
-        return EthernetFrame(head + tail)
-    fcs = zlib.crc32(tail, zlib.crc32(head))
-    return EthernetFrame(b"".join((head, tail, _FCS.pack(fcs))), True)
+    if has_fcs:
+        fcs = zlib.crc32(tail, zlib.crc32(head))
+        frame = EthernetFrame(b"".join((head, tail, _FCS.pack(fcs))), True)
+    else:
+        frame = EthernetFrame(head + tail)
+    if sums_known:
+        _set(frame, "sums_known", True)
+    return frame
 
 
 def ipv4_checksum_ok(frame: EthernetFrame) -> bool:
@@ -406,7 +427,12 @@ def with_ip_fields(frame: EthernetFrame, **fields) -> EthernetFrame:
         fixed = (fixed & ~(((1 << bits) - 1) << shift)) | (value << shift)
     header = fixed.to_bytes(IPV4_MIN_HEADER, "big") + ip.options
     header = _put16(header, _IP_CHECKSUM_AT, _ip_sum(header))
-    out = _framed(data[:ETH_HEADER_LEN] + header, frame.payload[ip.header_len:], frame.has_fcs)
+    # The TCP segment is copied as it is, so unless it is repaired below its
+    # checksum is as good (or as unknown) as the input's.
+    out = _framed(
+        data[:ETH_HEADER_LEN] + header, frame.payload[ip.header_len:], frame.has_fcs,
+        frame.sums_known,
+    )
     repair = frame.tcp is None or not _PSEUDO_FIELDS.isdisjoint(fields)
     if out.tcp is not None and repair:
         return with_tcp_payload(out, out.tcp_payload)
@@ -425,7 +451,7 @@ def with_tcp_payload(frame: EthernetFrame, payload: bytes) -> EthernetFrame:
         raise ValueError("replacement payload must preserve length")
     checksum = _tcp_sum(old[ETH_HEADER_LEN:start], old[start:at], payload)
     head = _put16(old[:at], start + _TCP_CHECKSUM_AT, checksum)
-    return _framed(head, payload + frame.trailer, frame.has_fcs)
+    return _framed(head, payload + frame.trailer, frame.has_fcs, True)
 
 
 def strip_fcs(frame: EthernetFrame) -> EthernetFrame:
@@ -524,7 +550,7 @@ def build_tcp_frame(
     )
     tcp_header = _put16(tcp_header, _TCP_CHECKSUM_AT, _tcp_sum(ip_header, tcp_header, payload))
     eth_header = _ETH.pack(dst_mac, src_mac, ETHERTYPE_IPV4)
-    return _framed(eth_header + ip_header + tcp_header, payload, with_fcs)
+    return _framed(eth_header + ip_header + tcp_header, payload, with_fcs, True)
 
 
 # ---------------------------------------------------------------------------

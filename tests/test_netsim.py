@@ -35,9 +35,12 @@ from netsteglab.netsim import (
 )
 from netsteglab.channels import BitMessage, TimingConfig, timing_decode, timing_encode
 from netsteglab.wirecodec import (
+    TCP_ACK,
+    TCP_SYN,
     build_tcp_frame,
     fcs_ok,
     ipv4,
+    parse_frame,
     tcp_checksum_ok,
     with_ip_fields,
     with_tcp_payload,
@@ -288,6 +291,18 @@ def test_active_rewrite_ttl():
     assert out.tcp_payload == b"secret-data"
 
 
+def test_active_warden_passes_a_bad_tcp_checksum_on_as_unknown():
+    made = _sample_frame(ttl=37)
+    wire = bytearray(made.data)
+    wire[-6] ^= 0x01  # a payload bit
+    bad = parse_frame(bytes(wire), has_fcs=True)
+    cfg = WardenConfig(mode="active", normalizations={"rewrite_ttl", "randomize_ip_id"})
+    out = apply_warden(bad, cfg, random.Random(0))
+    assert out.ip.ttl == 64 and fcs_ok(out)
+    assert not out.sums_known and not tcp_checksum_ok(out)
+    assert apply_warden(made, cfg, random.Random(0)).sums_known
+
+
 def test_active_randomize_ip_id():
     rng = random.Random(123)
     out = apply_warden(
@@ -383,6 +398,69 @@ def test_tap_sees_both_directions_and_rewrites_stick():
     # The trace logs the post-tap frames.
     datas = [e for e in trace.events if e.kind == "data"]
     assert all(set(e.frame.tcp_payload) == {ord("X")} for e in datas)
+
+
+def _corrupt_first(picks):
+    """A tap that flips one sequence-number bit of the first frame ``picks``
+    accepts and hands on the bytes re-parsed, as a frame from outside would be."""
+    flipped = []
+
+    def tap(frame):
+        if flipped or not picks(frame):
+            return frame
+        wire = bytearray(frame.data)
+        wire[14 + 20 + 4] ^= 0x01  # the top byte of the TCP sequence number
+        flipped.append(parse_frame(bytes(wire), has_fcs=True))
+        return flipped[0]
+
+    return tap, flipped
+
+
+def _assert_dropped_once(trace, flipped, direction):
+    drops = [e for e in trace.events if e.kind == "drop"]
+    assert [(e.direction, e.frame) for e in drops] == [(direction, flipped[0])]
+    assert not drops[0].frame.sums_known
+    assert not tcp_checksum_ok(drops[0].frame) and not fcs_ok(drops[0].frame)
+
+
+@pytest.mark.parametrize("kind, direction, flags", [
+    ("syn", "c2s", TCP_SYN),
+    ("synack", "s2c", TCP_SYN | TCP_ACK),
+])
+def test_corrupted_handshake_frame_is_dropped_and_the_handshake_retried(
+    kind, direction, flags
+):
+    payload = payload_bytes(3000, seed=21)
+    tap, flipped = _corrupt_first(lambda f: f.tcp.flags == flags)
+    trace = simulate_transfer(payload, LinkModel(seed=22), tap=tap)
+    _assert_dropped_once(trace, flipped, direction)
+    kinds = [e.kind for e in trace.events]
+    # The handshake timer resends the SYN; only a SYN that arrived drew a SYN-ACK.
+    handshake = ["syn", "drop", "syn", "synack"]
+    if kind == "synack":
+        handshake = ["syn", "synack", "drop", "syn", "synack"]
+    assert kinds[:len(handshake)] == handshake
+    assert kinds.count(kind) == 2
+    assert trace.delivered == payload
+
+
+@pytest.mark.parametrize("kind, direction, size", [
+    # The first of three segments: the two behind it wait out of order.
+    ("data", "c2s", 4000),
+    # The only ACK of a one-segment transfer: no later ACK covers it.
+    ("ack", "s2c", 1000),
+])
+def test_corrupted_data_or_ack_is_dropped_and_the_segment_resent(kind, direction, size):
+    payload = payload_bytes(size, seed=23)
+    carries_data = kind == "data"
+    tap, flipped = _corrupt_first(
+        lambda f: f.tcp.flags == TCP_ACK and bool(f.tcp_payload) == carries_data
+    )
+    trace = simulate_transfer(payload, LinkModel(seed=24), tap=tap)
+    _assert_dropped_once(trace, flipped, direction)
+    resent = [e.frame.tcp.seq for e in trace.events if e.kind == "retransmit"]
+    assert resent == [0x10000001]
+    assert trace.delivered == payload
 
 
 def test_tap_delay_slows_transfer_but_preserves_delivery():

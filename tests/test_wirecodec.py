@@ -671,6 +671,120 @@ def test_strip_fcs():
 
 
 # ---------------------------------------------------------------------------
+# known sums: the simulator and the tap do not re-check a frame whose sums
+# the codec made, so the flag must never vouch for bytes it did not sum
+
+
+def _assert_flag_vouches(frame: EthernetFrame) -> None:
+    again = parse_frame(frame.data, frame.has_fcs)
+    assert not again.sums_known
+    assert again == frame and hash(again) == hash(frame)
+    if frame.sums_known:
+        assert tcp_checksum_ok(again) and fcs_ok(again)
+        if again.tcp is not None:
+            assert tcp_checksum_oracle(again) == again.tcp.checksum
+        if again.has_fcs:
+            assert crc32_oracle(again.data[:-4]) == again.fcs
+
+
+def _flip_bit(frame: EthernetFrame, at: int) -> EthernetFrame:
+    """The frame's bytes with one bit flipped, parsed as outside bytes are."""
+    wire = bytearray(frame.data)
+    wire[at // 8 % len(wire)] ^= 1 << at % 8
+    return parse_frame(bytes(wire), frame.has_fcs)
+
+
+# IPv4 fields the TCP checksum covers through its pseudo-header.
+_PSEUDO = ("src_ip", "dst_ip", "protocol", "total_length")
+
+sums_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("payload"), st.integers(0, 10_000)),
+        st.tuples(st.just("ip"), ip_field_changes()),
+        st.tuples(st.just("flip"), st.integers(0, 8 * 120)),
+    ),
+    max_size=4,
+)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    payload_len=st.integers(0, 41),
+    with_fcs=st.booleans(),
+    ip_flags=st.sampled_from([0, IP_FLAG_DF, IP_FLAG_MF]),
+    frag_offset=st.sampled_from([0, 0, 7]),
+    steps=sums_steps,
+)
+# A corrupted frame through a field rewrite that copies its segment: still unknown.
+@example(seed=0, payload_len=9, with_fcs=True, ip_flags=IP_FLAG_DF, frag_offset=0,
+         steps=[("flip", 8 * 60), ("ip", ("ttl", 1))])
+# ... and one through a pseudo-header rewrite, which repairs the TCP checksum.
+@example(seed=0, payload_len=9, with_fcs=False, ip_flags=IP_FLAG_DF, frag_offset=0,
+         steps=[("flip", 8 * 60), ("ip", ("src_ip", 1))])
+# A fragment made whole, with a pseudo-header field changed in between.
+@example(seed=1, payload_len=4, with_fcs=True, ip_flags=IP_FLAG_MF, frag_offset=0,
+         steps=[("ip", ("dst_ip", 0)), ("ip", ("flags", 0))])
+def test_known_sums_hold_wherever_the_codec_claims_them(
+    seed, payload_len, with_fcs, ip_flags, frag_offset, steps
+):
+    rng = random.Random(seed)
+    frame = build_tcp_frame(
+        src_ip=rng.randrange(1 << 32), dst_ip=rng.randrange(1 << 32),
+        src_port=rng.randrange(1 << 16), dst_port=rng.randrange(1 << 16),
+        seq=rng.randrange(1 << 32), payload=rng.randbytes(payload_len),
+        ip_flags=ip_flags, frag_offset=frag_offset, with_fcs=with_fcs,
+    )
+    assert frame.sums_known
+    _assert_flag_vouches(frame)
+    for step, arg in steps:
+        known = frame.sums_known
+        if step == "payload":
+            if frame.tcp is None:
+                continue
+            frame = with_tcp_payload(frame, random.Random(arg).randbytes(len(frame.tcp_payload)))
+            assert frame.sums_known
+        elif step == "flip":
+            try:
+                frame = _flip_bit(frame, arg)
+            except WireError:
+                continue
+            assert not frame.sums_known
+        else:
+            name, value = arg
+            try:
+                out = with_ip_fields(frame, **{name: value})
+            except WireError:
+                continue
+            repaired = out.tcp is not None and (frame.tcp is None or name in _PSEUDO)
+            # A rewrite that copies the segment as it is passes the input's flag on.
+            assert out.sums_known == (known or repaired)
+            frame = out
+        _assert_flag_vouches(frame)
+
+
+def test_a_bad_checksum_stays_unknown_until_a_rewrite_repairs_it():
+    made = build_tcp_frame(
+        src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=40000, dst_port=8080,
+        seq=100, payload=b"0123456789", with_fcs=True,
+    )
+    # A made frame passes its flag through a rewrite that copies the segment.
+    assert with_ip_fields(made, ttl=7).sums_known
+    bad = _flip_bit(made, 8 * (len(made.data) - 6))  # a payload bit
+    assert not bad.sums_known and not tcp_checksum_ok(bad) and not fcs_ok(bad)
+    copied = with_ip_fields(bad, ttl=7)
+    assert not copied.sums_known and not tcp_checksum_ok(copied) and fcs_ok(copied)
+    repaired = with_ip_fields(bad, src_ip=0x0A000063)
+    assert repaired.sums_known and tcp_checksum_ok(repaired) and fcs_ok(repaired)
+    # Every frame made from outside bytes has unknown sums.
+    assert not EthernetFrame(made.data, True).sums_known
+    assert not strip_fcs(made).sums_known
+    capture = io.BytesIO()
+    write_pcap(capture, PcapFile((PcapRecord(0, 0, strip_fcs(made).data),)))
+    (record,) = iter_pcap(capture.getvalue())
+    assert not parse_frame(record.frame_bytes).sums_known
+
+
+# ---------------------------------------------------------------------------
 # address helpers
 
 
