@@ -58,6 +58,7 @@ class OddBurst(CovertChannelError):
 
 _TO_BITS = bytes.maketrans(b"01", b"\x00\x01")    # ASCII digits -> bit values
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bit values -> ASCII digits
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def _msb_plane(value: int, width: int) -> bytes:
@@ -100,10 +101,21 @@ class BitMessage:
 
     @classmethod
     def from_hex(cls, text: str) -> "BitMessage":
-        text = text.strip().removeprefix("0x")
-        if not text:
+        """Four bits per hex digit, after an optional ``0x`` or ``0X`` prefix.
+
+        Surrounding whitespace is ignored; any other character that is not
+        a hex digit raises ``ValueError`` (``int(text, 16)`` alone would
+        also read a sign, underscores and inner spaces, so the width taken
+        from the digits would be wrong).
+        """
+        digits = text.strip()
+        if digits[:2] in ("0x", "0X"):
+            digits = digits[2:]
+        if not _HEX_DIGITS.issuperset(digits):
+            raise ValueError(f"not a hex message: {text!r}")
+        if not digits:
             return cls()
-        return cls.from_int(int(text, 16), 4 * len(text))
+        return cls.from_int(int(digits, 16), 4 * len(digits))
 
     @classmethod
     def from01(cls, text: str) -> "BitMessage":

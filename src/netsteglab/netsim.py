@@ -26,7 +26,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import inf
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 from .wirecodec import (
     EthernetFrame,
@@ -186,8 +186,7 @@ def segment_payload(total_len: int, mss: int) -> List[int]:
     return sizes
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One wire observation: a frame entering the link, or a loss marker."""
 
     t_ns: int

@@ -12,12 +12,16 @@ pass from one to the other in constant memory.  :func:`read_pcap` and
 :func:`write_pcap` hold a whole capture as a :class:`PcapFile` and are thin
 wrappers over the two.
 
-A frame is its bytes.  :class:`EthernetFrame` holds only its wire bytes
-(and whether they end in an FCS), and constructing one parses them, so its
-``ip`` and ``tcp`` views can never disagree with the wire.
-:func:`build_tcp_frame` and the ``with_*`` helpers only produce bytes, with
-checksums (and the FCS, when carried) computed over them, and hand those to
-the same constructor.
+A frame is its bytes.  :class:`EthernetFrame` holds its wire bytes (and
+whether they end in an FCS) and the ``ip`` and ``tcp`` views of them.  The
+parser makes the views of outside bytes: constructing a frame from bytes
+parses them.  The two builders, :func:`build_tcp_frame` and
+:func:`with_tcp_payload`, make the views of the values they packed: each
+sums its checksums from those values (RFC 1071 arithmetic), packs its
+headers once with the checksums in place, joins the frame and its FCS once,
+and does not parse what it made.  :func:`with_ip_fields` parses its output,
+since the fields it changes can change what the parser decides.  A test
+holds every view a builder makes equal to a re-parse of its bytes.
 
 A frame this module made carries known sums: :attr:`EthernetFrame.sums_known`
 is True when :func:`build_tcp_frame` or a ``with_*`` helper computed its TCP
@@ -30,9 +34,9 @@ them.  The verifiers (:func:`tcp_checksum_ok`, :func:`fcs_ok`,
 
 Values are validated once, at the edge: the arguments of
 :func:`build_tcp_frame` and :func:`with_ip_fields` raise ``ValueError`` when
-out of range.  The ``ip`` and ``tcp`` views are read-only tuples that only
-the parser makes, so their fields are in range by construction.  Malformed
-bytes raise :class:`WireError` subclasses only.
+out of range.  The ``ip`` and ``tcp`` views are read-only tuples of values
+read from bytes or already range-checked, so their fields are in range by
+construction.  Malformed bytes raise :class:`WireError` subclasses only.
 """
 
 from __future__ import annotations
@@ -71,9 +75,9 @@ SEQ_MOD = 1 << 32
 # A TCP payload this long or longer overflows the 16-bit IPv4 total length.
 _MAX_TCP_PAYLOAD = (1 << 16) - IPV4_MIN_HEADER - TCP_MIN_HEADER
 
-_ETH = struct.Struct("!6s6sH")
 _IPV4 = struct.Struct("!BBHHHBBHII")
 _TCP = struct.Struct("!HHIIHHHH")
+_HEADERS = struct.Struct("!6s6sH" + _IPV4.format[1:] + _TCP.format[1:])  # Ethernet, IPv4, TCP
 _PSEUDO = struct.Struct("!8sxBH")  # src and dst, zero byte, protocol, TCP length
 _U16 = struct.Struct("!H")
 _FCS = struct.Struct("<I")
@@ -120,16 +124,30 @@ def internet_checksum(data: bytes) -> int:
     Odd-length input is padded with a virtual zero byte.  Since
     2^16 ≡ 1 (mod 0xFFFF), the data read as one big-endian integer is
     congruent to the sum of its words, and the end-around-carry sum is that
-    residue, except that residue 0 is 0x0000 only for all-zero data and
-    0xFFFF (one's-complement negative zero) for any other.
+    residue (:func:`_fold` gives the checksum of a residue).
     """
-    value = int.from_bytes(data, "big")
-    if len(data) & 1:
-        value <<= 8
-    folded = value % 0xFFFF
+    return _fold(_words(data))
+
+
+def _words(data: bytes) -> int:
+    """``data`` as one big-endian integer, odd-length input padded with a
+    zero byte: congruent, modulo 0xFFFF, to the sum of its 16-bit words."""
+    return int.from_bytes(data, "big") << 8 * (len(data) & 1)
+
+
+def _fold(total: int) -> int:
+    """The Internet checksum of data whose 16-bit words sum to ``total``
+    modulo 0xFFFF, where ``total`` is 0 only for all-zero data.
+
+    The checksum is the complement of the end-around-carry sum, which is
+    the residue except at residue 0: there the sum is 0x0000 for all-zero
+    data, giving checksum 0xFFFF, and 0xFFFF (one's-complement negative
+    zero) for any other data, giving checksum 0x0000.
+    """
+    folded = total % 0xFFFF
     if folded:
         return 0xFFFF - folded
-    return 0 if value else 0xFFFF
+    return 0 if total else 0xFFFF
 
 
 def fcs32(data: bytes) -> int:
@@ -146,11 +164,6 @@ def _check_range(name: str, value: int, bits: int) -> None:
         raise ValueError(f"{name} out of range for {bits} bits: {value!r}")
 
 
-def _put16(data: bytes, at: int, value: int) -> bytes:
-    """``data`` with the big-endian 16-bit word at ``at`` set to ``value``."""
-    return data[:at] + _U16.pack(value) + data[at + 2:]
-
-
 _IPV4_BITS = {
     "version": 4, "ihl": 4, "tos": 8, "total_length": 16, "identification": 16,
     "flags": 3, "frag_offset": 13, "ttl": 8, "protocol": 8, "header_checksum": 16,
@@ -159,7 +172,8 @@ _IPV4_BITS = {
 
 
 class Ipv4Header(NamedTuple):
-    """The IPv4 header of a frame, as the parser reads it from the bytes."""
+    """The IPv4 header of a frame, as the parser reads it from the bytes
+    (or as a builder packed it)."""
 
     version: int
     ihl: int
@@ -181,7 +195,8 @@ class Ipv4Header(NamedTuple):
 
 
 class TcpHeader(NamedTuple):
-    """The TCP header of a frame, as the parser reads it from the bytes."""
+    """The TCP header of a frame, as the parser reads it from the bytes
+    (or as a builder packed it)."""
 
     src_port: int
     dst_port: int
@@ -202,15 +217,17 @@ class TcpHeader(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class EthernetFrame:
-    """An Ethernet II frame: its wire bytes, and the views parsed out of them.
+    """An Ethernet II frame: its wire bytes, and the IPv4 and TCP views of them.
 
     ``data`` is the frame as sent, with the little-endian FCS as its last
-    four bytes when ``has_fcs``.  Constructing a frame parses ``data``, so
-    ``ip`` and ``tcp`` are always the IPv4 and TCP views of those bytes
-    (``None`` where a layer is absent or, for TCP, fragmented).  Malformed
-    bytes raise :class:`WireError`.  Frames compare and hash by
+    four bytes when ``has_fcs``.  ``ip`` and ``tcp`` are the IPv4 and TCP
+    views of those bytes (``None`` where a layer is absent or, for TCP,
+    fragmented).  Constructing a frame parses ``data`` into the views, and
+    malformed bytes raise :class:`WireError`; the two builders make a
+    frame's views from the values they packed.  Frames compare and hash by
     ``(data, has_fcs)``.  ``sums_known`` is True only on a frame whose TCP
-    checksum and FCS this module computed (see the module docstring).
+    checksum and FCS this module computed.  The module docstring states
+    both rules.
     """
 
     data: bytes
@@ -349,22 +366,32 @@ def _tcp_sum(ip_header: bytes, header: bytes, payload: bytes) -> int:
     )
 
 
-def _framed(head: bytes, tail: bytes, has_fcs: bool, sums_known: bool) -> EthernetFrame:
+def _framed(
+    head: bytes, tail: bytes, has_fcs: bool, sums_known: bool, views: Union[tuple, None] = None
+) -> EthernetFrame:
     """The frame ``head + tail``, with a fresh FCS appended when ``has_fcs``.
 
     Two pieces, so the FCS is summed over them where they are and the
     frame's bytes are joined once: no frame-sized copy is made only to be
     summed.  ``sums_known`` says whether the TCP checksum in ``head`` is
     known good for these bytes: the caller computed it, or copied the
-    segment unchanged from a frame whose sums were known.
+    segment unchanged from a frame whose sums were known.  ``views`` are
+    the ``(ip, tcp)`` views of the values the caller packed into these
+    bytes; without them the bytes are parsed.
     """
     if has_fcs:
-        fcs = zlib.crc32(tail, zlib.crc32(head))
-        frame = EthernetFrame(b"".join((head, tail, _FCS.pack(fcs))), True)
+        data = b"".join((head, tail, _FCS.pack(zlib.crc32(tail, zlib.crc32(head)))))
     else:
-        frame = EthernetFrame(head + tail)
-    if sums_known:
-        _set(frame, "sums_known", True)
+        data = head + tail
+    if views is None:
+        frame = EthernetFrame(data, has_fcs)
+    else:
+        frame = object.__new__(EthernetFrame)  # its builder sets the fields, unparsed
+        _set(frame, "data", data)
+        _set(frame, "has_fcs", has_fcs)
+        _set(frame, "ip", views[0])
+        _set(frame, "tcp", views[1])
+    _set(frame, "sums_known", sums_known)
     return frame
 
 
@@ -401,6 +428,7 @@ def fcs_ok(frame: EthernetFrame) -> bool:
 # Where each fixed IPv4 field's lowest bit sits in the 160-bit fixed header
 # (``_IPV4_BITS`` lists the fields in wire order).
 _IPV4_SHIFT = dict(zip(_IPV4_BITS, (160 - end for end in accumulate(_IPV4_BITS.values()))))
+_IP_CHECKSUM_SHIFT = _IPV4_SHIFT["header_checksum"]
 # IPv4 fields the TCP checksum covers through its pseudo-header.
 _PSEUDO_FIELDS = frozenset({"src_ip", "dst_ip", "protocol", "total_length"})
 
@@ -425,8 +453,12 @@ def with_ip_fields(frame: EthernetFrame, **fields) -> EthernetFrame:
         bits, shift = _IPV4_BITS[name], _IPV4_SHIFT[name]
         _check_range(name, value, bits)
         fixed = (fixed & ~(((1 << bits) - 1) << shift)) | (value << shift)
-    header = fixed.to_bytes(IPV4_MIN_HEADER, "big") + ip.options
-    header = _put16(header, _IP_CHECKSUM_AT, _ip_sum(header))
+    # Options are whole 32-bit words, so the header's words sum to those of
+    # the fixed part (checksum cleared) plus those of the options.
+    fixed &= ~(0xFFFF << _IP_CHECKSUM_SHIFT)
+    checksum = _fold(fixed + int.from_bytes(ip.options, "big"))
+    header = (fixed | checksum << _IP_CHECKSUM_SHIFT).to_bytes(IPV4_MIN_HEADER, "big")
+    header += ip.options
     # The TCP segment is copied as it is, so unless it is repaired below its
     # checksum is as good (or as unknown) as the input's.
     out = _framed(
@@ -449,9 +481,19 @@ def with_tcp_payload(frame: EthernetFrame, payload: bytes) -> EthernetFrame:
     at = start + tcp.header_len
     if len(payload) != ETH_HEADER_LEN + ip.total_length - at:
         raise ValueError("replacement payload must preserve length")
-    checksum = _tcp_sum(old[ETH_HEADER_LEN:start], old[start:at], payload)
-    head = _put16(old[:at], start + _TCP_CHECKSUM_AT, checksum)
-    return _framed(head, payload + frame.trailer, frame.has_fcs, True)
+    sport, dport, seq, ack, offset, flags, window, _, urgent, options, reserved = tcp
+    # The sum of the view's values is the sum of the bytes they were read from.
+    checksum = _fold(
+        ip.src_ip + ip.dst_ip + ip.protocol + ip.total_length - ip.header_len
+        + sport + dport + seq + ack + (offset << 12 | reserved << 9 | flags) + window + urgent
+        + int.from_bytes(options, "big") + _words(payload)
+    )
+    at_sum = start + _TCP_CHECKSUM_AT
+    head = old[:at_sum] + _U16.pack(checksum) + old[at_sum + 2:at]
+    tcp = tuple.__new__(TcpHeader, (
+        sport, dport, seq, ack, offset, flags, window, checksum, urgent, options, reserved,
+    ))
+    return _framed(head, payload + frame.trailer, frame.has_fcs, True, (ip, tcp))
 
 
 def strip_fcs(frame: EthernetFrame) -> EthernetFrame:
@@ -539,18 +581,35 @@ def build_tcp_frame(
     if type(dst_ip) is not int or not 0 <= dst_ip < 1 << 32:
         dst_ip = ipv4(dst_ip)
     total_length = IPV4_MIN_HEADER + TCP_MIN_HEADER + len(payload)
-    ip_header = _IPV4.pack(
-        0x45, tos, total_length, ip_id, (ip_flags << 13) | frag_offset, ttl, PROTO_TCP,
-        0, src_ip, dst_ip,
+    flags_frag = ip_flags << 13 | frag_offset
+    seq %= SEQ_MOD
+    ack %= SEQ_MOD
+    off_bits = 5 << 12 | flags
+    # Each checksum sums the 16-bit words of the values packed below; a
+    # 32-bit value sums as its two words, since 2^16 ≡ 1 (mod 0xFFFF).
+    ip_checksum = _fold(
+        0x4500 + tos + total_length + ip_id + flags_frag + (ttl << 8) + PROTO_TCP
+        + src_ip + dst_ip
     )
-    ip_header = _put16(ip_header, _IP_CHECKSUM_AT, _ip_sum(ip_header))
-    tcp_header = _TCP.pack(
-        src_port, dst_port, seq % SEQ_MOD, ack % SEQ_MOD, (5 << 12) | flags, window, 0,
-        urgent_ptr,
+    tcp_checksum = _fold(
+        src_ip + dst_ip + PROTO_TCP + total_length - IPV4_MIN_HEADER
+        + src_port + dst_port + seq + ack + off_bits + window + urgent_ptr + _words(payload)
     )
-    tcp_header = _put16(tcp_header, _TCP_CHECKSUM_AT, _tcp_sum(ip_header, tcp_header, payload))
-    eth_header = _ETH.pack(dst_mac, src_mac, ETHERTYPE_IPV4)
-    return _framed(eth_header + ip_header + tcp_header, payload, with_fcs, True)
+    head = _HEADERS.pack(
+        dst_mac, src_mac, ETHERTYPE_IPV4,
+        0x45, tos, total_length, ip_id, flags_frag, ttl, PROTO_TCP, ip_checksum, src_ip, dst_ip,
+        src_port, dst_port, seq, ack, off_bits, window, tcp_checksum, urgent_ptr,
+    )
+    ip = tuple.__new__(Ipv4Header, (
+        4, 5, tos, total_length, ip_id, ip_flags, frag_offset, ttl, PROTO_TCP, ip_checksum,
+        src_ip, dst_ip, b"",
+    ))
+    tcp = None  # a fragment has no TCP view, as the parser decides
+    if not (ip_flags & IP_FLAG_MF or frag_offset):
+        tcp = tuple.__new__(TcpHeader, (
+            src_port, dst_port, seq, ack, 5, flags, window, tcp_checksum, urgent_ptr, b"", 0,
+        ))
+    return _framed(head, payload, with_fcs, True, (ip, tcp))
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,21 @@ def test_bitmessage_rejects_non_bits():
         BitMessage.from_int(8, 3)
 
 
+@pytest.mark.parametrize("text, bits", [
+    ("0xff", "11111111"), ("0XFF", "11111111"), ("ff", "11111111"),
+    (" C0de\n", "1100000011011110"), ("0x", ""), ("", ""),
+])
+def test_bitmessage_from_hex_takes_four_bits_per_digit(text, bits):
+    assert BitMessage.from_hex(text).to01() == bits
+
+
+# int(text, 16) reads each of these, so a width taken from the text would be wrong.
+@pytest.mark.parametrize("text", ["+ff", "-1", "f_f", "0x 1", "0x0x1", "0xff\x00", "\uff11"])
+def test_bitmessage_from_hex_rejects_what_is_not_hex_digits(text):
+    with pytest.raises(ValueError, match="not a hex message"):
+        BitMessage.from_hex(text)
+
+
 def test_bitmessage_bit_errors_over_shared_prefix():
     a = BitMessage.from01("10110")
     b = BitMessage.from01("100")

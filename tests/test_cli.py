@@ -97,6 +97,16 @@ def test_conflicting_message_sources_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_message_that_is_not_hex_digits_is_usage_error(capsys, tmp_path):
+    code, _, err = run(
+        ["transfer", "--seed", 1, "--width", 2, "--height", 2, "--message", "+c0de",
+         "--out-dir", tmp_path],
+        capsys,
+    )
+    assert code == 2
+    assert "not a hex message" in err
+
+
 def test_unknown_channel_is_usage_error(capsys, tmp_path):
     code, _, err = run(
         ["channel", "encode", "--channel", "carrier-pigeon", "--bits", "1",

@@ -584,6 +584,26 @@ def test_with_tcp_payload_repairs_checksum_and_fcs():
     assert changed <= allowed
 
 
+@pytest.mark.parametrize("has_fcs", [False, True])
+@pytest.mark.parametrize("payload", [b"hello", b"hello!"])
+def test_with_tcp_payload_on_foreign_bytes_with_options_and_trailer(has_fcs, payload):
+    ip = struct.pack(
+        "!BBHHHBBHII", 0x46, 0, 24 + 24 + len(payload), 9, 0, 64, 6, 0,
+        ipv4("1.2.3.4"), ipv4("5.6.7.8"),
+    ) + b"\x01\x01\x01\x00"
+    tcp = struct.pack("!HHIIHHHH", 80, 1024, 1, 2, (6 << 12) | (0b101 << 9) | 0x118, 100, 7, 3)
+    wire = bytes(6) + bytes(6) + b"\x08\x00" + ip + tcp + b"\x02\x04\x05\xb4" + payload + bytes(5)
+    if has_fcs:
+        wire += struct.pack("<I", crc32_oracle(wire))
+    spliced = with_tcp_payload(parse_frame(wire, has_fcs), payload[::-1])
+    again = parse_frame(spliced.data, has_fcs)
+    assert spliced == again and spliced.ip == again.ip and spliced.tcp == again.tcp
+    assert spliced.tcp.options == b"\x02\x04\x05\xb4" and spliced.tcp.reserved == 0b101
+    assert spliced.tcp_payload == payload[::-1] and spliced.trailer == bytes(5)
+    assert tcp_checksum_oracle(again) == spliced.tcp.checksum
+    assert not has_fcs or crc32_oracle(spliced.data[:-4]) == spliced.fcs
+
+
 def test_with_tcp_payload_requires_equal_length():
     frame = build_tcp_frame(
         src_ip="1.1.1.1", dst_ip="2.2.2.2", src_port=1, dst_port=2, seq=0,
@@ -608,7 +628,8 @@ def ip_field_changes(draw):
 
 
 def _assert_views_match_parser(frame: EthernetFrame) -> None:
-    assert frame == parse_frame(frame.emit(), has_fcs=frame.fcs is not None)
+    again = parse_frame(frame.emit(), has_fcs=frame.fcs is not None)
+    assert frame == again and frame.ip == again.ip and frame.tcp == again.tcp
 
 
 @given(
@@ -679,6 +700,8 @@ def _assert_flag_vouches(frame: EthernetFrame) -> None:
     again = parse_frame(frame.data, frame.has_fcs)
     assert not again.sums_known
     assert again == frame and hash(again) == hash(frame)
+    # A frame the builders made carries views of the values they packed.
+    assert again.ip == frame.ip and again.tcp == frame.tcp
     if frame.sums_known:
         assert tcp_checksum_ok(again) and fcs_ok(again)
         if again.tcp is not None:
@@ -724,6 +747,9 @@ sums_steps = st.lists(
 # A fragment made whole, with a pseudo-header field changed in between.
 @example(seed=1, payload_len=4, with_fcs=True, ip_flags=IP_FLAG_MF, frag_offset=0,
          steps=[("ip", ("dst_ip", 0)), ("ip", ("flags", 0))])
+# A flip in the ethertype leaves no IPv4 layer for a field rewrite.
+@example(seed=0, payload_len=0, with_fcs=False, ip_flags=0, frag_offset=0,
+         steps=[("flip", 96), ("ip", ("dst_ip", 0))])
 def test_known_sums_hold_wherever_the_codec_claims_them(
     seed, payload_len, with_fcs, ip_flags, frag_offset, steps
 ):
@@ -750,6 +776,8 @@ def test_known_sums_hold_wherever_the_codec_claims_them(
                 continue
             assert not frame.sums_known
         else:
+            if frame.ip is None:  # a flipped ethertype bit leaves no IPv4 layer
+                continue
             name, value = arg
             try:
                 out = with_ip_fields(frame, **{name: value})
@@ -1060,7 +1088,8 @@ def test_parse_frame_on_mutated_frames_raises_only_wire_error(
     if parsed is not None and parsed.tcp is not None:
         # The mutators keep foreign-looking frames consistent with the parser.
         spliced = with_tcp_payload(parsed, bytes(len(parsed.tcp_payload)))
-        assert spliced == parse_frame(spliced.emit(), has_fcs=has_fcs)
+        again = parse_frame(spliced.emit(), has_fcs=has_fcs)
+        assert spliced == again and spliced.ip == again.ip and spliced.tcp == again.tcp
         assert tcp_checksum_ok(spliced) and fcs_ok(spliced)
 
 
