@@ -327,8 +327,7 @@ def cmd_rewrite_pcap(args: argparse.Namespace) -> int:
         ) as out:
             for frames, record in enumerate(capture, 1):
                 try:
-                    frame = parse_frame(record.frame_bytes)
-                    out_bytes = interceptor.process(frame).emit()
+                    out_bytes = interceptor.process_bytes(record.frame_bytes)
                 except WireError:
                     out_bytes = record.frame_bytes  # not ours to touch
                 if out_bytes != record.frame_bytes:

@@ -10,6 +10,16 @@ nor rewritten: it passes as it came, so the receiver still sees it fail.  A
 frame whose sums the wire layer made (``EthernetFrame.sums_known``) cannot
 fail them and is not checked again.
 
+The tap decides each frame from its header fields alone: the flow's
+4-tuple, the sequence number, the flags and the payload length.  A frame
+with no payload, or of a flow decided not to carry, passes on those.  Only
+a frame whose payload must be stashed, verified or embedded is read
+further.  So :meth:`Interceptor.process_bytes`, the entry for frames read
+from a capture, reads the fields at their fixed offsets
+(:func:`~netsteglab.wirecodec.peek_frame`) and builds a frame only for
+those few; :meth:`Interceptor.process` takes a frame already built.  Both
+make the same decision in one method.
+
 The bit written at carrier index ``i`` is a pure function of ``i`` and the
 policy — never of arrival order — so retransmitted, reordered or
 differently-segmented traffic embeds identically, and a receiver holding
@@ -35,11 +45,13 @@ against.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from math import floor
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .bmp import BmpInfo, NotBmp, UnsupportedBpp, parse_bmp_info
 from .channels import BitMessage
@@ -49,6 +61,7 @@ from .wirecodec import (
     TCP_SYN,
     fcs_ok,
     ipv4_str,
+    peek_frame,
     tcp_checksum_ok,
     with_tcp_payload,
 )
@@ -215,23 +228,27 @@ def track(
     first data frame seen.  Offsets are sequence numbers relative to
     ``base_seq`` modulo 2**32, so retransmits map to identical ranges.
     """
-    ip, tcp = frame.ip, frame.tcp
-    if ip is None or tcp is None:
+    if frame.ip is None or frame.tcp is None:
         raise ValueError("track needs a TCP frame")
-    key = (ip.src_ip, ip.dst_ip, tcp.src_port, tcp.dst_port)
+    key, state, start, end = _track(flows, frame.ip, frame.tcp)
+    return key, state, (start, end)
+
+
+def _track(flows: Dict[Flow, FlowState], ip: tuple, tcp: tuple):
+    """:func:`track` on a TCP frame's ``ip`` and ``tcp`` views, or on the
+    fields :func:`peek_frame` read, which sit at the views' indices; the
+    range comes back as two values, ``start`` and ``end``."""
+    key = (ip[10], ip[11], tcp[0], tcp[1])  # src_ip, dst_ip, src_port, dst_port
+    seq, flags = tcp[2], tcp[5]
     state = flows.get(key)
     if state is None:
-        if tcp.flags & TCP_SYN:
-            state = FlowState(base_seq=(tcp.seq + 1) % SEQ_MOD)
-        else:
-            state = FlowState(base_seq=tcp.seq)
-        flows[key] = state
-    if tcp.flags & TCP_SYN:
-        return key, state, (0, 0)
-    start = (tcp.seq - state.base_seq) % SEQ_MOD
-    # The parser checked both header lengths against the total length, so
-    # this is len(frame.tcp_payload) without copying the payload.
-    return key, state, (start, start + ip.total_length - 4 * (ip.ihl + tcp.data_offset))
+        state = flows[key] = FlowState(base_seq=(seq + 1) % SEQ_MOD if flags & TCP_SYN else seq)
+    if flags & TCP_SYN:
+        return key, state, 0, 0
+    start = (seq - state.base_seq) % SEQ_MOD
+    # The payload length is total_length less both header lengths (IHL and
+    # data offset, in words), which the parser checked against each other.
+    return key, state, start, start + ip[3] - 4 * (ip[1] + tcp[4])
 
 
 # ---------------------------------------------------------------------------
@@ -317,26 +334,34 @@ _LSB = bytes(v & 1 for v in range(256))
 _CLEAR_LSB = bytes(v & 0xFE for v in range(256))
 
 
-def _union(spans: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """The union of intervals [lo, hi), as disjoint sorted intervals."""
-    out: List[Tuple[int, int]] = []
-    for lo, hi in sorted(spans):
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return out
+def _add(spans: List[Tuple[int, int]], lo: int, hi: int) -> None:
+    """Add the non-empty interval [lo, hi) to the disjoint sorted intervals
+    ``spans``, in place, merging it with the intervals it overlaps or touches.
+
+    Bisection finds those intervals, so the work is logarithmic in
+    ``len(spans)`` plus one list splice.
+    """
+    i = bisect_left(spans, lo, key=itemgetter(1))  # the first that ends at or after lo
+    j = bisect_right(spans, hi, key=itemgetter(0))  # past the last that starts by hi
+    if i < j:
+        lo, hi = min(lo, spans[i][0]), max(hi, spans[j - 1][1])
+    spans[i:j] = [(lo, hi)]
 
 
-def _cut(spans: List[Tuple[int, int]], lo: int, hi: int) -> List[Tuple[int, int]]:
-    """Disjoint sorted ``spans`` minus the interval [lo, hi)."""
-    out = []
-    for a, b in spans:
-        if a < lo:
-            out.append((a, min(b, lo)))
-        if b > hi:
-            out.append((max(a, hi), b))
-    return out
+def _cut(spans: List[Tuple[int, int]], lo: int, hi: int) -> None:
+    """Remove the non-empty interval [lo, hi) from the disjoint sorted
+    intervals ``spans``, in place, found by bisection as in :func:`_add`."""
+    i = bisect_right(spans, lo, key=itemgetter(1))  # the first that ends after lo
+    j = bisect_left(spans, hi, key=itemgetter(0))  # past the last that starts before hi
+    if i >= j:
+        return
+    first, last = spans[i][0], spans[j - 1][1]
+    kept = []  # what the cut leaves of the first and the last interval it meets
+    if first < lo:
+        kept.append((first, lo))
+    if last > hi:
+        kept.append((hi, last))
+    spans[i:j] = kept
 
 
 def embed_in_frame(
@@ -357,7 +382,7 @@ def embed_in_frame(
     start = (frame.tcp.seq - state.base_seq) % SEQ_MOD
     end = start + len(payload)
     if state.unembedded:
-        state.unembedded = _cut(state.unembedded, start, end)
+        _cut(state.unembedded, start, end)
     rows = [
         (slice(offset, offset + step * count, step), first, count)
         for offset, step, first, count in carrier_slices(state.bmp, start, end)
@@ -405,13 +430,44 @@ class Interceptor:
         completes it decides the flow.  A verified frame of a BMP flow is
         embedded.
         """
-        if frame.ip is None or frame.tcp is None:
+        tcp = frame.tcp
+        if tcp is None:
             return frame
-        _, state, (start, end) = track(frame, self.flows)
+        return self._decide(frame.ip, tcp, frame)
+
+    def process_bytes(self, data: bytes) -> bytes:
+        """:meth:`process` on a bare frame's bytes (no FCS, as a capture holds it).
+
+        The frame's fields are read at their fixed offsets
+        (:func:`peek_frame`), and a frame is built only when its payload
+        must be read: to stash, verify or embed.  Returns ``data`` itself
+        when the frame passes untouched, and raises the :class:`WireError`
+        that parsing ``data`` would raise, before tracking anything.
+        """
+        ip, tcp = peek_frame(data) or (None, None)
+        if tcp is None:
+            return data
+        out = self._decide(ip, tcp, data)
+        return out if out is data else out.data
+
+    def _decide(
+        self, ip: tuple, tcp: tuple, frame: Union[EthernetFrame, bytes]
+    ) -> Union[EthernetFrame, bytes]:
+        """Pass, stash or embed one TCP frame, from its header fields.
+
+        ``ip`` and ``tcp`` are the frame's views or the fields
+        :func:`peek_frame` read.  ``frame`` is the frame, or its bytes,
+        parsed only when the payload must be read: to stash, verify or
+        embed.  The frame is tracked and counted once, and ``frame``
+        itself comes back when it passes as it came.
+        """
+        _, state, start, end = _track(self.flows, ip, tcp)
         state.frames_seen += 1
         undecided = state.stash_mask != _STASH_FULL
         if start == end or (not undecided and state.bmp is None):
             return frame
+        if not isinstance(frame, EthernetFrame):
+            frame = EthernetFrame(frame)
         # Rewriting gives a frame fresh, valid checksums, so a frame that fails
         # them is never rewritten, and never decides its flow.  A frame whose
         # sums wirecodec made over its bytes cannot fail them.
@@ -419,7 +475,7 @@ class Interceptor:
         if verified and undecided and start < CLASSIFY_NEED:
             self._stash(state, start, frame.tcp_payload)
         if not verified or state.stash_mask != _STASH_FULL:
-            state.unembedded = _union([*state.unembedded, (start, end)])
+            _add(state.unembedded, start, end)
             return frame
         if undecided:  # this frame completed the stash
             try:

@@ -15,7 +15,10 @@ wrappers over the two.
 A frame is its bytes.  :class:`EthernetFrame` holds its wire bytes (and
 whether they end in an FCS) and the ``ip`` and ``tcp`` views of them.  The
 parser makes the views of outside bytes: constructing a frame from bytes
-parses them.  The two builders, :func:`build_tcp_frame` and
+parses them, in two stages.  :func:`peek_frame` reads the fixed-offset
+header fields and checks every offset and length rule, and the views are
+made from what it read; a caller that needs only those fields peeks and
+builds no frame.  The two builders, :func:`build_tcp_frame` and
 :func:`with_tcp_payload`, make the views of the values they packed: each
 sums its checksums from those values (RFC 1071 arithmetic), packs its
 headers once with the checksums in place, joins the frame and its FCS once,
@@ -237,16 +240,9 @@ class EthernetFrame:
     sums_known: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        data = self.data
-        end = len(data) - 4 if self.has_fcs else len(data)
-        if end < ETH_HEADER_LEN:
-            raise TruncatedFrame(
-                "frame too short to carry an FCS" if self.has_fcs
-                else "frame shorter than the Ethernet header"
-            )
-        ip = tcp = None
-        if data[12:14] == b"\x08\x00":  # ETHERTYPE_IPV4
-            ip, tcp = _parse_ip_layers(data, end)
+        ip, tcp = peek_frame(self.data, self.has_fcs) or (None, None)
+        if ip is not None:
+            ip, tcp = _views(self.data, ip, tcp)
         _set(self, "ip", ip)
         _set(self, "tcp", tcp)
         _set(self, "sums_known", False)
@@ -289,15 +285,32 @@ class EthernetFrame:
 # parsing
 
 
-def _parse_ip_layers(data: bytes, end: int):
-    """Parse the IPv4 header (and TCP, when applicable) of the L2 payload
-    ``data[ETH_HEADER_LEN:end]``."""
-    ip_at = ETH_HEADER_LEN
-    size = end - ip_at
+def peek_frame(data: bytes, has_fcs: bool = False) -> Union[tuple, None]:
+    """The validated fixed-offset fields of a frame's IPv4 and TCP headers.
+
+    The first stage of the parser: ``EthernetFrame(data, has_fcs)`` raises
+    exactly what this raises, and makes its ``ip`` and ``tcp`` views from
+    what this returns.  Returns ``None`` when the frame is not IPv4, and
+    otherwise ``(ip, tcp)``: ``ip`` holds the values of the ``Ipv4Header``
+    view but its options, and ``tcp`` those of the ``TcpHeader`` view but
+    its options, or is ``None`` where the frame has no TCP view.  Each value
+    sits at its view's index, except that ``tcp`` ends with ``reserved``.
+    A caller that needs only these fields reads them without building the
+    frame.
+    """
+    end = len(data) - 4 if has_fcs else len(data)
+    if end < ETH_HEADER_LEN:
+        raise TruncatedFrame(
+            "frame too short to carry an FCS" if has_fcs
+            else "frame shorter than the Ethernet header"
+        )
+    if data[12:14] != b"\x08\x00":  # ETHERTYPE_IPV4
+        return None
+    size = end - ETH_HEADER_LEN
     if size < IPV4_MIN_HEADER:
         raise TruncatedFrame("IPv4 header shorter than 20 bytes")
     (vi, tos, total_length, ident, flags_frag, ttl, proto, cksum,
-     src, dst) = _IPV4.unpack_from(data, ip_at)
+     src, dst) = _IPV4.unpack_from(data, ETH_HEADER_LEN)
     version = vi >> 4
     if version != 4:
         raise BadVersion(f"IP version {version}, expected 4")
@@ -312,29 +325,38 @@ def _parse_ip_layers(data: bytes, end: int):
     if total_length > size:
         raise TruncatedFrame("IPv4 total length beyond captured bytes")
     flags, frag_offset = flags_frag >> 13, flags_frag & 0x1FFF
-    tcp_at = ip_at + header_len
-    # tuple.__new__ skips the named tuples' Python-level __new__ on this hot path.
-    ip = tuple.__new__(Ipv4Header, (
-        version, ihl, tos, total_length, ident, flags, frag_offset, ttl, proto, cksum,
-        src, dst, data[ip_at + IPV4_MIN_HEADER:tcp_at],
-    ))
+    ip = (version, ihl, tos, total_length, ident, flags, frag_offset, ttl, proto, cksum, src, dst)
     # Only an unfragmented datagram carries a parseable TCP header.
     if proto != PROTO_TCP or frag_offset or flags & IP_FLAG_MF:
         return ip, None
     if total_length - header_len < TCP_MIN_HEADER:
         raise TruncatedFrame("TCP header shorter than 20 bytes")
     sport, dport, seq, ack, off_bits, window, tcp_cksum, urg = _TCP.unpack_from(
-        data, tcp_at
+        data, ETH_HEADER_LEN + header_len
     )
     data_offset = off_bits >> 12
     if data_offset < 5:
         raise TruncatedFrame(f"TCP data offset below minimum: {data_offset}")
     if header_len + data_offset * 4 > total_length:
         raise TruncatedFrame("TCP data offset beyond segment end")
-    tcp = tuple.__new__(TcpHeader, (
+    return ip, (
         sport, dport, seq, ack, data_offset, off_bits & 0x1FF, window, tcp_cksum, urg,
-        data[tcp_at + TCP_MIN_HEADER:tcp_at + data_offset * 4], (off_bits >> 9) & 0x7,
-    ))
+        (off_bits >> 9) & 0x7,
+    )
+
+
+def _views(data: bytes, ip: tuple, tcp: Union[tuple, None]) -> tuple:
+    """The ``(ip, tcp)`` views of ``data``, from the fields :func:`peek_frame`
+    read from it: each view is its fields plus the options they delimit."""
+    tcp_at = ETH_HEADER_LEN + 4 * ip[1]  # the IHL
+    # tuple.__new__ skips the named tuples' Python-level __new__ on this hot path.
+    ip = tuple.__new__(Ipv4Header, ip + (data[ETH_HEADER_LEN + IPV4_MIN_HEADER:tcp_at],))
+    if tcp is not None:
+        sport, dport, seq, ack, offset, flags, window, checksum, urgent, reserved = tcp
+        tcp = tuple.__new__(TcpHeader, (
+            sport, dport, seq, ack, offset, flags, window, checksum, urgent,
+            data[tcp_at + TCP_MIN_HEADER:tcp_at + 4 * offset], reserved,
+        ))
     return ip, tcp
 
 

@@ -19,6 +19,8 @@ from netsteglab.channels import BitMessage
 from netsteglab.interceptor import (
     FlowState,
     Interceptor,
+    _add,
+    _cut,
     StegoPolicy,
     carrier_offsets,
     carrier_slices,
@@ -29,9 +31,11 @@ from netsteglab.interceptor import (
 )
 from netsteglab.netsim import LinkModel, simulate_transfer
 from netsteglab.wirecodec import (
+    IP_FLAG_MF,
     SEQ_MOD,
     TCP_ACK,
     TCP_SYN,
+    WireError,
     build_tcp_frame,
     fcs_ok,
     ipv4,
@@ -773,6 +777,48 @@ def test_skipped_and_carrier_bits_match_set_semantics_when_header_arrives_last(
     assert report.carrier_bits == written
 
 
+def union_oracle(spans):
+    """The union of intervals [lo, hi) by sorting them all: the tap's
+    original way of adding a range to its unembedded list."""
+    out = []
+    for lo, hi in sorted(spans):
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def cut_oracle(spans, lo, hi):
+    """Disjoint sorted ``spans`` minus [lo, hi), by a walk over all of them."""
+    out = []
+    for a, b in spans:
+        if a < lo:
+            out.append((a, min(b, lo)))
+        if b > hi:
+            out.append((max(a, hi), b))
+    return out
+
+
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 300), st.integers(1, 40)), max_size=60))
+@example([(True, 10, 5), (True, 20, 5), (True, 15, 5), (False, 12, 10), (False, 0, 30)])
+def test_unembedded_ranges_by_bisection_match_the_sorting_oracles(steps):
+    """_add and _cut, in place, keep the same list as sorting every range.
+
+    The ranges are non-empty, as the tap's are: it adds and cuts only the
+    stream ranges of frames that carry payload.
+    """
+    spans, expected = [], []
+    for adding, lo, length in steps:
+        if adding:
+            _add(spans, lo, lo + length)
+            expected = union_oracle([*expected, (lo, lo + length)])
+        else:
+            _cut(spans, lo, lo + length)
+            expected = cut_oracle(expected, lo, lo + length)
+        assert spans == expected
+
+
 @st.composite
 def wrapping_flows(draw):
     """A BMP, an MSS that puts the whole header in the first segment, and a
@@ -846,3 +892,77 @@ def test_interceptor_process_on_arbitrary_payloads_and_sequence_numbers_raises_n
         out = interceptor.process(frame)
         assert tcp_checksum_ok(out) and len(out.tcp_payload) == len(payload)
     interceptor.flow_reports()
+
+
+# ---------------------------------------------------------------------------
+# the tap's two entries: frames and capture bytes
+
+
+def _mixed_capture(rng: random.Random):
+    """Record bytes of interleaved flows, as a capture holds them (no FCS).
+
+    Two BMP flows (24 and 8 bpp) and a non-BMP flow, each a SYN and its
+    segments, with retransmits, bad-checksum copies of some segments,
+    truncated copies that fail to parse, and local reordering; among them
+    ARP, IPv6, IPv4/UDP, IPv4 fragments and a bad IP version.
+    """
+    flows = []
+    streams = ((make_bmp(12, 9, 24), 100), (make_bmp(10, 7, 8), 64), (rng.randbytes(600), 120))
+    for n, (data, mss) in enumerate(streams):
+        kw = dict(src_ip=f"10.0.0.{n + 1}", dst_ip="10.0.9.9", src_port=40000 + n, dst_port=80)
+        isn = rng.randrange(SEQ_MOD)
+        records = [build_tcp_frame(seq=isn, flags=TCP_SYN, **kw).data]
+        for off in range(0, len(data), mss):
+            wire = build_tcp_frame(seq=isn + 1 + off, payload=data[off:off + mss], **kw).data
+            records.append(wire)
+            if rng.random() < 0.2:
+                records.append(wire)  # a retransmit
+            if rng.random() < 0.2:
+                records.append(wire[:-1] + bytes([wire[-1] ^ 1]))  # fails its TCP checksum
+            if rng.random() < 0.1:
+                records.append(wire[:rng.randrange(14, 54)])  # headers cut short
+        records.append(build_tcp_frame(seq=isn + 1 + len(data), **kw).data)  # a bare ACK
+        flows.append(records)
+    kw = dict(src_ip="10.0.0.7", dst_ip="10.0.9.9", src_port=5, dst_port=6, seq=1)
+    udp = bytearray(build_tcp_frame(payload=bytes(12), **kw).data)
+    udp[23] = 17
+    bad_version = bytearray(udp)
+    bad_version[14] = 0x65
+    flows.append([
+        b"\xff" * 6 + b"\x02" * 6 + b"\x08\x06" + bytes(28),  # ARP
+        b"\x02" * 12 + b"\x86\xdd" + bytes(60),  # IPv6
+        bytes(udp),
+        build_tcp_frame(payload=b"frag", ip_flags=IP_FLAG_MF, **kw).data,
+        build_tcp_frame(payload=b"ment", frag_offset=3, **kw).data,
+        bytes(bad_version),
+        b"\x02" * 10,  # shorter than an Ethernet header
+    ])
+    capture = []
+    while any(flows):  # interleave, each flow in its own order
+        capture.append(rng.choice([f for f in flows if f]).pop(0))
+    for _ in range(len(capture) // 4):  # then reorder neighbours
+        i = rng.randrange(len(capture) - 1)
+        capture[i], capture[i + 1] = capture[i + 1], capture[i]
+    return capture
+
+
+@given(st.integers(0, 10_000))
+def test_process_bytes_equals_parse_frame_then_process(seed):
+    capture = _mixed_capture(random.Random(seed))
+    by_bytes, by_frames = Interceptor(MSG), Interceptor(MSG)
+    modified = 0
+    for data in capture:
+        try:
+            frame = parse_frame(data)
+        except WireError:
+            with pytest.raises(WireError):
+                by_bytes.process_bytes(data)
+            continue
+        out = by_frames.process(frame)
+        out_bytes = by_bytes.process_bytes(data)
+        assert out_bytes == out.emit()
+        assert (out_bytes is data) == (out is frame)
+        modified += out is not frame
+    assert modified > 0
+    assert by_bytes.flow_reports() == by_frames.flow_reports()
+    assert sum(r.frames_seen for r in by_bytes.flow_reports()) > 0

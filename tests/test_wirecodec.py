@@ -8,6 +8,8 @@ residue).  The implementation under test never computes its own expected
 values.
 """
 
+import builtins
+import errno
 import io
 import os
 import random
@@ -19,6 +21,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, strategies as st
 
+from netsteglab import wirecodec
 from netsteglab.wirecodec import (
     BadMagic,
     BadVersion,
@@ -43,6 +46,7 @@ from netsteglab.wirecodec import (
     iter_pcap,
     ns_to_pcap_ts,
     parse_frame,
+    peek_frame,
     read_pcap,
     strip_fcs,
     tcp_checksum_ok,
@@ -613,6 +617,20 @@ def test_with_tcp_payload_requires_equal_length():
         with_tcp_payload(frame, b"abcd")
 
 
+def test_with_helpers_reject_a_frame_without_their_layer():
+    arp = parse_frame(b"\x01" * 6 + b"\x02" * 6 + struct.pack("!H", 0x0806) + bytes(28))
+    fragment = build_tcp_frame(
+        src_ip="1.1.1.1", dst_ip="2.2.2.2", src_port=1, dst_port=2, seq=0,
+        payload=b"abc", ip_flags=IP_FLAG_MF,
+    )
+    assert arp.ip is None and fragment.ip is not None and fragment.tcp is None
+    with pytest.raises(ValueError, match="^frame has no IPv4 layer$"):
+        with_ip_fields(arp, ttl=1)
+    for frame in (arp, fragment):
+        with pytest.raises(ValueError, match="^frame has no TCP layer$"):
+            with_tcp_payload(frame, b"")
+
+
 # Every scalar IPv4 field with_ip_fields may set, with its width in bits.
 IPV4_SCALAR_BITS = {
     "version": 4, "tos": 8, "total_length": 16, "identification": 16, "flags": 3,
@@ -1035,6 +1053,53 @@ def test_pcap_writer_on_a_pipe_and_on_a_missing_directory(tmp_path):
     assert raised.value.filename == missing
 
 
+def test_pcap_writer_close_moves_its_temporary_file_into_place(tmp_path):
+    path = tmp_path / "out.pcap"
+    path.write_bytes(b"old")
+    record = PcapRecord(ts_sec=1, ts_usec=2, frame_bytes=b"frame")
+    writer = PcapWriter(str(path))
+    writer.write(record)
+    assert path.read_bytes() == b"old"  # the capture is still in the temporary file
+    writer.close()
+    assert read_pcap(str(path)).records == (record,)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.pcap"]
+
+
+class _DiskFull:
+    """A binary file whose every write fails, as on a full disk."""
+
+    def __init__(self, file):
+        self._file = file
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def fileno(self):
+        return self._file.fileno()
+
+    def close(self):
+        self._file.close()
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_pcap_writer_removes_its_temporary_file_when_the_header_write_fails(
+    tmp_path, monkeypatch, existing
+):
+    path = tmp_path / "out.pcap"
+    if existing:
+        path.write_bytes(b"old")
+    monkeypatch.setattr(wirecodec, "open", lambda *args, **kwargs: _DiskFull(
+        builtins.open(*args, **kwargs)), raising=False)
+    with pytest.raises(OSError) as raised:
+        PcapWriter(str(path))
+    assert raised.value.errno == errno.ENOSPC
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["out.pcap"] if existing else [])
+    assert not existing or path.read_bytes() == b"old"
+    # A file object the caller owns is left to the caller.
+    with pytest.raises(OSError):
+        PcapWriter(_DiskFull(io.BytesIO()))
+
+
 def test_ns_to_pcap_ts():
     assert ns_to_pcap_ts(0) == (0, 0)
     assert ns_to_pcap_ts(1_500_000_000) == (1, 500_000)
@@ -1117,12 +1182,65 @@ def test_parse_frame_on_arbitrary_length_fields_raises_only_wire_error(
     seed, payload_len, with_fcs, fields
 ):
     """IHL, total length, flags/fragment offset, protocol and data offset."""
+    _parsed_or_none(_with_length_fields(seed, payload_len, with_fcs, fields), with_fcs)
+
+
+def _with_length_fields(seed: int, payload_len: int, with_fcs: bool, fields) -> bytes:
+    """A random frame's bytes with the ``length_fields`` values written in."""
     rng = random.Random(seed)
     frame = _random_frame(rng, with_fcs=with_fcs, payload=rng.randbytes(payload_len))
     wire = bytearray(frame.emit())
     for at, fmt, value in fields:
         struct.pack_into(fmt, wire, at, value)
-    _parsed_or_none(bytes(wire), with_fcs)
+    return bytes(wire)
+
+
+def _assert_peek_is_the_parsers_first_stage(data: bytes, has_fcs: bool) -> None:
+    """peek_frame raises exactly when the parser does, with the same type,
+    and otherwise reads the values of the parser's views."""
+    try:
+        frame = EthernetFrame(data, has_fcs)
+    except WireError as exc:
+        with pytest.raises(WireError) as raised:
+            peek_frame(data, has_fcs)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        return
+    fields = peek_frame(data, has_fcs)
+    if frame.ip is None:
+        assert fields is None
+        return
+    ip, tcp = fields
+    assert ip == frame.ip[:-1]  # all but the options
+    if frame.tcp is None:
+        assert tcp is None
+    else:
+        assert tcp == frame.tcp[:9] + (frame.tcp.reserved,)
+
+
+@given(st.binary(max_size=200), st.booleans())
+def test_peek_agrees_with_the_parser_on_arbitrary_bytes(data, has_fcs):
+    _assert_peek_is_the_parsers_first_stage(data, has_fcs)
+
+
+# Flips inside the Ethernet, IPv4 and TCP headers of an option-less frame,
+# where every bit is a field the peek reads.
+header_flips = st.lists(st.tuples(st.integers(0, 53), st.integers(1, 255)), min_size=1,
+                        max_size=3)
+
+
+@given(st.integers(0, 10_000), st.booleans(), st.booleans(), flips | header_flips, cuts)
+def test_peek_agrees_with_the_parser_on_mutated_frames(seed, with_fcs, has_fcs, flipped, cut):
+    frame = _random_frame(random.Random(seed), with_fcs=with_fcs)
+    _assert_peek_is_the_parsers_first_stage(_mutate(frame.emit(), flipped, cut), has_fcs)
+
+
+@given(st.integers(0, 10_000), st.integers(0, 8) | st.integers(0, 80), st.booleans(),
+       length_fields)
+def test_peek_agrees_with_the_parser_on_arbitrary_length_fields(
+    seed, payload_len, with_fcs, fields
+):
+    wire = _with_length_fields(seed, payload_len, with_fcs, fields)
+    _assert_peek_is_the_parsers_first_stage(wire, with_fcs)
 
 
 PCAP_LE_HEADER = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
