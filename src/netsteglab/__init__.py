@@ -45,9 +45,7 @@ from .interceptor import (
     FlowState,
     Interceptor,
     StegoPolicy,
-    carrier_offsets,
     carrier_slices,
-    embed_in_frame,
     extract_from_file,
 )
 from .analytics import (
@@ -75,8 +73,8 @@ __all__ = [
     "BmpInfo", "NotBmp", "UnsupportedBpp", "make_bmp", "parse_bmp_info",
     "LinkModel", "Stalled", "TcpLiteEndpoint", "TransferTrace",
     "WardenConfig", "simulate_transfer",
-    "FlowState", "Interceptor", "StegoPolicy", "carrier_offsets",
-    "carrier_slices", "embed_in_frame", "extract_from_file",
+    "FlowState", "Interceptor", "StegoPolicy", "carrier_slices",
+    "extract_from_file",
     "DataState", "ModificationLocus", "StegoClass", "TaxonomyInput",
     "audio_capacity", "classify_taxonomy", "covert_channel_yield",
     "exfil_projection", "lsb_capacity", "transfer_frame_profile",

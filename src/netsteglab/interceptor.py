@@ -18,7 +18,13 @@ further.  So :meth:`Interceptor.process_bytes`, the entry for frames read
 from a capture, reads the fields at their fixed offsets
 (:func:`~netsteglab.wirecodec.peek_frame`) and builds a frame only for
 those few; :meth:`Interceptor.process` takes a frame already built.  Both
-make the same decision in one method.
+make the same decision in one method: it tracks the frame's flow once and
+embeds into the stream range it tracked.  A SYN with a new ISN on a
+4-tuple starts that flow afresh, so a flow's record and report row cover
+the latest connection on its 4-tuple.  The public surface is
+:class:`Interceptor` (``process``, ``process_bytes``, ``flow_reports``),
+:class:`StegoPolicy`, :func:`carrier_slices`, :func:`extract_from_file`
+and :func:`report_csv`.
 
 The bit written at carrier index ``i`` is a pure function of ``i`` and the
 policy — never of arrival order — so retransmitted, reordered or
@@ -37,9 +43,9 @@ frame's carriers are read with the row slices and translated to their LSB
 plane, each run's bits are written into that plane with one slice
 assignment, and the plane is ORed back over the carriers, LSBs cleared with
 ``bytes.translate``, as one big integer; extraction reads the same runs
-out of the file's LSB plane.  :func:`carrier_offsets` and :meth:`StegoPolicy.selected` list
-carriers one by one and are kept as the reference the engine is tested
-against.
+out of the file's LSB plane.  :meth:`StegoPolicy.selected` and
+:meth:`StegoPolicy.bit_at` decide carriers one by one and are kept as the
+reference the engine is tested against.
 """
 
 from __future__ import annotations
@@ -76,10 +82,7 @@ __all__ = [
     "FlowReport",
     "StegoPolicy",
     "Interceptor",
-    "track",
-    "carrier_offsets",
     "carrier_slices",
-    "embed_in_frame",
     "extract_from_file",
     "report_csv",
     "NotBmp",
@@ -219,32 +222,29 @@ class StegoPolicy:
 # flow tracking
 
 
-def track(
-    frame: EthernetFrame, flows: Dict[Flow, FlowState]
-) -> Tuple[Flow, FlowState, Tuple[int, int]]:
-    """Match a TCP frame to its flow and return its stream byte range.
-
-    A flow is created on SYN (``base_seq = ISN + 1``) or anchored at the
-    first data frame seen.  Offsets are sequence numbers relative to
-    ``base_seq`` modulo 2**32, so retransmits map to identical ranges.
-    """
-    if frame.ip is None or frame.tcp is None:
-        raise ValueError("track needs a TCP frame")
-    key, state, start, end = _track(flows, frame.ip, frame.tcp)
-    return key, state, (start, end)
-
-
 def _track(flows: Dict[Flow, FlowState], ip: tuple, tcp: tuple):
-    """:func:`track` on a TCP frame's ``ip`` and ``tcp`` views, or on the
-    fields :func:`peek_frame` read, which sit at the views' indices; the
-    range comes back as two values, ``start`` and ``end``."""
+    """Match a TCP frame to its flow: ``(key, state, start, end)``, where
+    ``[start, end)`` is the frame's stream byte range.
+
+    ``ip`` and ``tcp`` are the frame's views, or the fields
+    :func:`peek_frame` read, which sit at the views' indices.  A SYN
+    anchors its flow at ``base_seq = ISN + 1`` and covers no stream bytes.
+    A SYN with another ISN on a 4-tuple already tracked opens a new
+    connection, so it starts the flow afresh; a resent SYN keeps it.  A
+    flow first seen mid-stream is anchored at its first data frame.
+    Offsets are sequence numbers relative to ``base_seq`` modulo 2**32, so
+    retransmits map to identical ranges.
+    """
     key = (ip[10], ip[11], tcp[0], tcp[1])  # src_ip, dst_ip, src_port, dst_port
     seq, flags = tcp[2], tcp[5]
     state = flows.get(key)
-    if state is None:
-        state = flows[key] = FlowState(base_seq=(seq + 1) % SEQ_MOD if flags & TCP_SYN else seq)
     if flags & TCP_SYN:
+        base_seq = (seq + 1) % SEQ_MOD
+        if state is None or state.base_seq != base_seq:
+            state = flows[key] = FlowState(base_seq=base_seq)
         return key, state, 0, 0
+    if state is None:
+        state = flows[key] = FlowState(base_seq=seq)
     start = (seq - state.base_seq) % SEQ_MOD
     # The payload length is total_length less both header lengths (IHL and
     # data offset, in words), which the parser checked against each other.
@@ -291,41 +291,6 @@ def _index_span(bmp: BmpInfo, start: int, end: int) -> Optional[Tuple[int, int]]
     return rows[0][2], last + count
 
 
-def carrier_offsets(bmp: BmpInfo, start: int, end: int) -> List[Tuple[int, int]]:
-    """Carrier positions intersecting stream range [start, end).
-
-    Returns ``(stream_position, carrier_index)`` pairs in stream order.
-    The carrier index counts carriers from the start of the pixel data
-    (row * width + pixel), independent of the queried range.  This is the
-    byte-at-a-time reference for :func:`carrier_slices`.
-    """
-    start = max(start, bmp.pixel_offset)
-    end = min(end, bmp.pixel_data_end)
-    if start >= end:
-        return []
-    stride = bmp.row_stride
-    width = bmp.width
-    out: List[Tuple[int, int]] = []
-    first_row = (start - bmp.pixel_offset) // stride
-    last_row = (end - 1 - bmp.pixel_offset) // stride
-    for row in range(first_row, last_row + 1):
-        row_base = bmp.pixel_offset + row * stride
-        if bmp.bytes_per_pixel == 3:
-            # red lives at the third byte of each BGR triple
-            p_lo = max(0, -((start - row_base - 2) // -3))
-            p_hi = min(width, (end - row_base - 3) // 3 + 1)
-            base_index = row * width
-            for p in range(p_lo, p_hi):
-                out.append((row_base + 3 * p + 2, base_index + p))
-        else:
-            p_lo = max(0, start - row_base)
-            p_hi = min(width, end - row_base)
-            base_index = row * width
-            for p in range(p_lo, p_hi):
-                out.append((row_base + p, base_index + p))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # embedding
 
@@ -364,10 +329,11 @@ def _cut(spans: List[Tuple[int, int]], lo: int, hi: int) -> None:
     spans[i:j] = kept
 
 
-def embed_in_frame(
-    frame: EthernetFrame, state: FlowState, policy: StegoPolicy
+def _embed(
+    frame: EthernetFrame, state: FlowState, start: int, policy: StegoPolicy
 ) -> EthernetFrame:
-    """Embed policy bits into the frame's carrier bytes; repair checksums.
+    """Embed policy bits into the carrier bytes of a BMP flow's frame whose
+    payload starts at stream position ``start``; repair checksums.
 
     Pure in (stream offset, policy): the same frame embeds to the same
     bytes no matter when or how often it passes.  Frames whose carrier
@@ -377,9 +343,6 @@ def embed_in_frame(
     ``state.unembedded``.
     """
     payload = frame.tcp_payload
-    if state.bmp is None or not payload:
-        return frame
-    start = (frame.tcp.seq - state.base_seq) % SEQ_MOD
     end = start + len(payload)
     if state.unembedded:
         _cut(state.unembedded, start, end)
@@ -482,7 +445,7 @@ class Interceptor:
                 state.bmp = parse_bmp_info(bytes(state.header_stash))
             except (NotBmp, UnsupportedBpp):
                 return frame
-        return embed_in_frame(frame, state, self.policy)
+        return _embed(frame, state, start, self.policy)
 
     def flow_reports(self) -> List[FlowReport]:
         return [

@@ -13,10 +13,11 @@ An optional ``tap`` callable sees every in-flight frame (both directions)
 and may rewrite it — the hook the in-flight embedder plugs into; a
 ``warden`` normalizes frames after the tap.  Traces export to pcap and CSV.
 
-Each endpoint drops an arriving frame (SYN, SYN-ACK, data or ACK) whose TCP
-checksum or FCS fails, and logs it as a ``drop``.  The frames the simulator
-builds carry known sums (``EthernetFrame.sums_known``), so they are not
-summed again on arrival; a frame a tap rebuilt from other bytes is.
+Every arriving frame (SYN, SYN-ACK, data or ACK) passes one check,
+``_Sim.arrive``: the receiving endpoint drops a frame whose TCP checksum or
+FCS fails, and logs it as a ``drop``.  The frames the simulator builds
+carry known sums (``EthernetFrame.sums_known``), so they are not summed
+again on arrival; a frame a tap rebuilt from other bytes is.
 """
 
 from __future__ import annotations
@@ -207,15 +208,6 @@ class TransferTrace:
 TapFn = Callable[[EthernetFrame], EthernetFrame]
 
 
-def _intact(frame: EthernetFrame) -> bool:
-    """Whether an arriving frame passes its TCP checksum and FCS.
-
-    Sums that :mod:`.wirecodec` computed over a frame's bytes cannot fail,
-    so only a frame with unknown sums is checked.
-    """
-    return frame.sums_known or (tcp_checksum_ok(frame) and fcs_ok(frame))
-
-
 class _Sim:
     """Event loop and endpoint state for one simulated transfer."""
 
@@ -302,7 +294,21 @@ class _Sim:
             if prev > self.now and prev <= arrival:
                 arrival = max(self.now, prev - 1)  # leapfrog the predecessor
         self.prev_arrival[direction] = max(self.prev_arrival[direction], arrival)
-        self.schedule(arrival, on_arrive, frame)
+        self.schedule(arrival, self.arrive, direction, on_arrive, frame)
+
+    def arrive(self, direction: str, on_arrive, frame: EthernetFrame) -> None:
+        """Hand an arriving frame to ``on_arrive``, or drop it if it fails its
+        TCP checksum or FCS.
+
+        Sums that :mod:`.wirecodec` computed over a frame's bytes cannot
+        fail, so only a frame with unknown sums is checked.  The timers
+        recover a dropped frame: the handshake timer resends the SYN, the
+        retransmission timer the unacknowledged segment.
+        """
+        if frame.sums_known or (tcp_checksum_ok(frame) and fcs_ok(frame)):
+            on_arrive(frame)
+        else:
+            self.log("drop", direction, frame)
 
     def run(self) -> TransferTrace:
         if self.total == 0:
@@ -361,9 +367,6 @@ class _Sim:
         self.schedule(self.now + self.rto_ns, self.on_hs_timer)
 
     def on_syn_arrive(self, frame: EthernetFrame) -> None:
-        if not _intact(frame):
-            self.log("drop", DIR_C2S, frame)
-            return  # the handshake timer resends the SYN
         # Duplicate SYNs get a fresh SYN-ACK: that is the loss recovery.
         self.schedule(self.now + self.link.processing_ns, self.send_synack)
 
@@ -374,9 +377,6 @@ class _Sim:
         )
 
     def on_synack_arrive(self, frame: EthernetFrame) -> None:
-        if not _intact(frame):
-            self.log("drop", DIR_S2C, frame)
-            return  # the handshake timer resends the SYN
         if self.hs_done:
             return
         self.hs_done = True
@@ -419,9 +419,6 @@ class _Sim:
         self.arm_timer()
 
     def on_ack_arrive(self, frame: EthernetFrame) -> None:
-        if not _intact(frame):
-            self.log("drop", DIR_S2C, frame)
-            return
         acked = (frame.tcp.ack - (self.sender.isn + 1)) % SEQ_MOD
         if acked > self.total or acked <= self.acked:
             return  # stale or duplicate
@@ -436,9 +433,6 @@ class _Sim:
     # -- receiver ------------------------------------------------------------
 
     def on_data_arrive(self, frame: EthernetFrame) -> None:
-        if not _intact(frame):
-            self.log("drop", DIR_C2S, frame)
-            return
         data = frame.tcp_payload
         if data:
             offset = (frame.tcp.seq - (self.sender.isn + 1)) % SEQ_MOD

@@ -43,7 +43,7 @@ from netsteglab.channels import (
 from netsteglab.interceptor import (
     Interceptor,
     StegoPolicy,
-    carrier_offsets,
+    carrier_slices,
     extract_from_file,
 )
 from netsteglab.netsim import (
@@ -347,7 +347,11 @@ def test_criterion_9_oracle_equivalence_every_segmentation(capsys):
     policy = StegoPolicy(message=BitMessage.from_hex("9e"))
     info = parse_bmp_info(file_bytes)
 
-    offsets_ok = carrier_offsets(info, 0, len(file_bytes)) == sorted(
+    offsets_ok = [
+        (offset + step * k, first + k)
+        for offset, step, first, count in carrier_slices(info, 0, len(file_bytes))
+        for k in range(count)
+    ] == sorted(
         _oracle_carriers(info).items()
     )
 

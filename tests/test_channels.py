@@ -91,6 +91,8 @@ def test_bitmessage_rejects_non_bits():
         BitMessage([0, 2])
     with pytest.raises(ValueError):
         BitMessage.from_int(8, 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        BitMessage.from_int(-1, 8)
 
 
 @pytest.mark.parametrize("text, bits", [
@@ -297,6 +299,9 @@ def test_isn_length_mismatch():
         isn_encode(BitMessage.from01(""), 0, 0)
     with pytest.raises(ValueError):
         isn_decode(1 << 32, 8)
+    for n_bits in (0, 33):
+        with pytest.raises(ValueError, match=rf"n_bits must be in \[1, 32\], got {n_bits}"):
+            isn_decode(0, n_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +367,13 @@ def test_order_capacity_and_odd_burst():
         order_decode(make_frames(5))
     with pytest.raises(CapacityExceeded):
         order_encode(BitMessage.from01("111"), make_frames(4))
+
+
+def test_order_decode_rejects_non_tcp_frames():
+    arp = parse_frame(b"\x00" * 12 + b"\x08\x06" + b"x" * 28)
+    for burst in ([arp, *make_frames(1)], [*make_frames(1), arp]):
+        with pytest.raises(ValueError, match="ordering channel needs TCP frames"):
+            order_decode(burst)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,31 @@ def test_unknown_locus_is_usage_error(capsys):
     assert "mars" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rewrite-pcap", "--in", "in.pcap", "--out", "out.pcap"],
+     "a message is required (--message, --bits or --keystream-seed)"),
+    (["channel", "encode", "--channel", "order", "--out", "x.pcap"],
+     "a message is required (--message or --bits)"),
+    (["channel", "encode", "--channel", "order", "--message", "a", "--bits", "1",
+      "--out", "x.pcap"], "give at most one of --message, --bits"),
+    (["rewrite-pcap", "--in", "in.pcap", "--message", "a"], "rewrite-pcap needs --in and --out"),
+    (["rewrite-pcap", "--out", "out.pcap", "--message", "a"], "rewrite-pcap needs --in and --out"),
+    (["channel", "encode", "--channel", "order", "--bits", "1"], "channel encode needs --out"),
+    (["channel", "decode", "--channel", "order"], "channel decode needs --in"),
+    (["channel", "encode", "--bits", "1", "--out", "x.pcap"], "channel command needs --channel"),
+    (["classify"], "classify needs --states"),
+    (["capacity", "--config", "no-such.cfg"], "config: cannot read no-such.cfg"),
+])
+def test_missing_or_conflicting_input_is_usage_error_naming_it(
+    capsys, tmp_path, monkeypatch, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"usage error: {message}")
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture
 def isn_pcap(capsys, tmp_path):
     pcap = tmp_path / "isn.pcap"
@@ -496,6 +521,18 @@ def test_transfer_extraction_failure_exits_1_with_empty_extract(capsys, tmp_path
     assert "MATCH" not in out
 
 
+def test_transfer_that_extracts_no_bits_is_a_mismatch(capsys, tmp_path):
+    """A 1x1 image at coverage 1/2 selects no carrier, so nothing can match."""
+    code, out, _ = run(
+        ["transfer", "--seed", 1, "--width", 1, "--height", 1, "--coverage", "1/2",
+         "--out-dir", tmp_path], capsys,
+    )
+    assert code == 1
+    assert "extracted 0 bits, bit errors 0 -> MISMATCH" in out
+    assert "artifacts written" not in out
+    assert (tmp_path / "report.csv").read_text().endswith(",0,0,False\n")
+
+
 def test_transfer_from_image_file(capsys, tmp_path):
     img = tmp_path / "carrier.bmp"
     img.write_bytes(make_bmp(8, 8, 8))
@@ -612,6 +649,19 @@ def test_cli_http_order_round_trip(capsys, tmp_path):
     )
     assert "bits: 00111100" in out
     assert "bit errors: 0/8" in out
+
+
+def test_cli_http_order_round_trip_with_own_headers(capsys, tmp_path):
+    headers = ["--headers", "Host, Accept,Cookie,Referer,User-Agent,"]
+    out = encode_decode(
+        capsys, tmp_path, "http-order", headers, [*headers, "--length", 8, "--expect", "3c"],
+        ["--message", "3c"],
+    )
+    assert "bits: 00111100" in out
+    assert "bit errors: 0/8" in out
+    names = [line.partition(b":")[0] for line in
+             read_pcap(str(tmp_path / "http-order.pcap")).records[0].frame_bytes.split(b"\r\n")]
+    assert sorted(names[1:6]) == [b"Accept", b"Cookie", b"Host", b"Referer", b"User-Agent"]
 
 
 def test_decode_counts_missing_bits_as_errors(capsys, tmp_path):

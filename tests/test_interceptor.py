@@ -22,12 +22,11 @@ from netsteglab.interceptor import (
     _add,
     _cut,
     StegoPolicy,
-    carrier_offsets,
+    _embed,
+    _track,
     carrier_slices,
-    embed_in_frame,
     extract_from_file,
     report_csv,
-    track,
 )
 from netsteglab.netsim import LinkModel, simulate_transfer
 from netsteglab.wirecodec import (
@@ -60,6 +59,41 @@ def carrier_map_oracle(info: BmpInfo) -> dict:
                 pos = row_base + p
             mapping[pos] = row * info.width + p
     return mapping
+
+
+def carrier_offsets(bmp: BmpInfo, start: int, end: int):
+    """Carrier positions intersecting stream range [start, end).
+
+    Returns ``(stream_position, carrier_index)`` pairs in stream order.
+    The carrier index counts carriers from the start of the pixel data
+    (row * width + pixel), independent of the queried range.  This is the
+    byte-at-a-time reference for :func:`carrier_slices`.
+    """
+    start = max(start, bmp.pixel_offset)
+    end = min(end, bmp.pixel_data_end)
+    if start >= end:
+        return []
+    stride = bmp.row_stride
+    width = bmp.width
+    out = []
+    first_row = (start - bmp.pixel_offset) // stride
+    last_row = (end - 1 - bmp.pixel_offset) // stride
+    for row in range(first_row, last_row + 1):
+        row_base = bmp.pixel_offset + row * stride
+        if bmp.bytes_per_pixel == 3:
+            # red lives at the third byte of each BGR triple
+            p_lo = max(0, -((start - row_base - 2) // -3))
+            p_hi = min(width, (end - row_base - 3) // 3 + 1)
+            base_index = row * width
+            for p in range(p_lo, p_hi):
+                out.append((row_base + 3 * p + 2, base_index + p))
+        else:
+            p_lo = max(0, start - row_base)
+            p_hi = min(width, end - row_base)
+            base_index = row * width
+            for p in range(p_lo, p_hi):
+                out.append((row_base + p, base_index + p))
+    return out
 
 
 def embed_oracle(file_bytes: bytes, policy: StegoPolicy) -> bytes:
@@ -98,6 +132,11 @@ def run_stream(frames, policy):
     """Every frame through one fresh interceptor: the outputs and the reports."""
     interceptor = Interceptor(policy)
     return [interceptor.process(frame) for frame in frames], interceptor.flow_reports()
+
+
+def tracked(flows, frame):
+    """:func:`_track` on a built TCP frame's views."""
+    return _track(flows, frame.ip, frame.tcp)
 
 
 MSG = StegoPolicy(message=BitMessage.from01("1011001110001111"))
@@ -222,52 +261,69 @@ def test_policy_bit_at_is_pure():
 
 def test_track_syn_anchors_base_seq():
     flows = {}
-    key, state, rng = track(syn_frame(isn=5000), flows)
-    assert rng == (0, 0)
+    key, state, start, end = tracked(flows, syn_frame(isn=5000))
+    assert (start, end) == (0, 0)
     assert state.base_seq == 5001
     assert key == (ipv4("10.0.0.1"), ipv4("10.0.0.2"), 40000, 8080)
-    _, _, rng = track(data_frame(0, b"abc", base_seq=5001), flows)
-    assert rng == (0, 3)
-    _, _, rng = track(data_frame(3, b"dd", base_seq=5001), flows)
-    assert rng == (3, 5)
+    assert tracked(flows, data_frame(0, b"abc", base_seq=5001))[2:] == (0, 3)
+    assert tracked(flows, data_frame(3, b"dd", base_seq=5001))[2:] == (3, 5)
 
 
 def test_track_without_syn_anchors_first_data():
     flows = {}
-    frame = data_frame(0, b"abcdef", base_seq=777_000)
-    _, state, rng = track(frame, flows)
+    _, state, start, end = tracked(flows, data_frame(0, b"abcdef", base_seq=777_000))
     assert state.base_seq == 777_000
-    assert rng == (0, 6)
-    _, _, rng = track(data_frame(6, b"gh", base_seq=777_000), flows)
-    assert rng == (6, 8)
+    assert (start, end) == (0, 6)
+    assert tracked(flows, data_frame(6, b"gh", base_seq=777_000))[2:] == (6, 8)
 
 
 def test_track_retransmit_maps_to_same_range():
     flows = {}
-    track(syn_frame(), flows)
-    first = track(data_frame(10, b"zz"), flows)[2]
-    again = track(data_frame(10, b"zz"), flows)[2]
+    tracked(flows, syn_frame())
+    first = tracked(flows, data_frame(10, b"zz"))[2:]
+    again = tracked(flows, data_frame(10, b"zz"))[2:]
     assert first == again == (10, 12)
 
 
 def test_track_handles_sequence_wraparound():
     flows = {}
     isn = SEQ_MOD - 5
-    track(syn_frame(isn=isn), flows)  # base = 2**32 - 4
+    tracked(flows, syn_frame(isn=isn))  # base = 2**32 - 4
     frame = data_frame(0, b"abcdefgh", base_seq=SEQ_MOD - 4)
-    _, _, rng = track(frame, flows)
-    assert rng == (0, 8)
+    assert tracked(flows, frame)[2:] == (0, 8)
     frame = data_frame(8, b"ij", base_seq=SEQ_MOD - 4)  # seq wraps past zero
     assert frame.tcp.seq == 4
-    _, _, rng = track(frame, flows)
-    assert rng == (8, 10)
+    assert tracked(flows, frame)[2:] == (8, 10)
 
 
-def test_track_rejects_non_tcp():
-    from netsteglab.wirecodec import parse_frame
-    arp = parse_frame(b"\x00" * 12 + b"\x08\x06" + b"x" * 6)
-    with pytest.raises(ValueError):
-        track(arp, {})
+def test_track_restarts_the_flow_on_a_new_isn_and_keeps_it_on_a_resent_syn():
+    flows = {}
+    first = tracked(flows, syn_frame(isn=1000))[1]
+    tracked(flows, data_frame(0, b"abc", base_seq=1001))
+    assert tracked(flows, syn_frame(isn=1000))[1] is first
+    second = tracked(flows, syn_frame(isn=5000))[1]
+    assert second is not first and second.base_seq == 5001
+    assert list(flows.values()) == [second]
+
+
+def test_a_reconnect_on_the_same_4_tuple_is_not_embedded_with_the_old_bmp():
+    """An ISN advances with the clock (RFC 6528), so a reconnect a second
+    later starts about 250,000 bytes on, inside the first connection's
+    768 KB image; its bytes must pass untouched."""
+    file_bytes = make_bmp(512, 512, 24)
+    interceptor = Interceptor(MSG)
+    first = [syn_frame(isn=1_000_000)] + [
+        data_frame(off, file_bytes[off:off + 1460], base_seq=1_000_001)
+        for off in range(0, len(file_bytes), 1460)
+    ]
+    assert sum(interceptor.process(f) is not f for f in first) == 539
+    noise = random.Random(5)
+    second = [syn_frame(isn=1_250_000)] + [
+        data_frame(k * 1460, noise.randbytes(1460), base_seq=1_250_001) for k in range(20)
+    ]
+    assert all(interceptor.process(f) is f for f in second)
+    [report] = interceptor.flow_reports()  # the latest connection's row
+    assert (report.frames_seen, report.frames_modified, report.carrier_bits) == (21, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +353,9 @@ def test_classify_bmp_and_non_bmp():
 def test_embed_in_frame_hand_oracle_tiny_file():
     file_bytes = make_bmp(2, 1, 24)
     policy = StegoPolicy(message=BitMessage.from01("10"))
-    flows = {}
-    track(syn_frame(), flows)
+    state = FlowState(base_seq=0x10000001, bmp=parse_bmp_info(file_bytes))
     frame = data_frame(0, file_bytes)
-    key, state, _ = track(frame, flows)
-    state.bmp = parse_bmp_info(file_bytes)
-    out = embed_in_frame(frame, state, policy)
+    out = _embed(frame, state, 0, policy)
     a, b = frame.tcp_payload, out.tcp_payload
     assert b[56] == (a[56] & 0xFE) | 1
     assert b[59] == (a[59] & 0xFE) | 0
@@ -312,24 +365,18 @@ def test_embed_in_frame_hand_oracle_tiny_file():
 
 def test_embed_returns_same_object_when_no_carriers():
     file_bytes = make_bmp(2, 1, 24)
-    flows = {}
-    track(syn_frame(), flows)
+    state = FlowState(base_seq=0x10000001, bmp=parse_bmp_info(file_bytes))
     frame = data_frame(0, file_bytes[:54])  # header only
-    _, state, _ = track(frame, flows)
-    state.bmp = parse_bmp_info(file_bytes)
-    assert embed_in_frame(frame, state, MSG) is frame
+    assert _embed(frame, state, 0, MSG) is frame
 
 
 def test_embed_is_idempotent():
     file_bytes = make_bmp(3, 3, 24)
     policy = StegoPolicy(message=BitMessage.from01("110"))
-    flows = {}
-    track(syn_frame(), flows)
+    state = FlowState(base_seq=0x10000001, bmp=parse_bmp_info(file_bytes))
     frame = data_frame(0, file_bytes)
-    _, state, _ = track(frame, flows)
-    state.bmp = parse_bmp_info(file_bytes)
-    once = embed_in_frame(frame, state, policy)
-    twice = embed_in_frame(once, state, policy)
+    once = _embed(frame, state, 0, policy)
+    twice = _embed(once, state, 0, policy)
     assert twice.emit() == once.emit()
 
 
@@ -669,7 +716,7 @@ def test_embed_in_frame_matches_per_index_oracle(window, policy):
     chunk = data[start:end]
     state = FlowState(base_seq=BASE_SEQ, bmp=parse_bmp_info(data))
     frame = data_frame(start, chunk)
-    out = embed_in_frame(frame, state, policy)
+    out = _embed(frame, state, start, policy)
     expected, count = oracle_chunk(data, start, end, policy)
     assert out.tcp_payload == expected
     assert (out is frame) == (expected == chunk)

@@ -15,6 +15,7 @@ from netsteglab.netsim import (
     CLIENT_IP,
     CLIENT_MAC,
     CLIENT_PORT,
+    DIR_S2C,
     LinkModel,
     MS,
     SERVER_IP,
@@ -22,6 +23,7 @@ from netsteglab.netsim import (
     SERVER_PORT,
     Stalled,
     TcpLiteEndpoint,
+    _Sim,
     US,
     WARDEN_TTL,
     WardenConfig,
@@ -35,6 +37,7 @@ from netsteglab.netsim import (
 )
 from netsteglab.channels import BitMessage, TimingConfig, timing_decode, timing_encode
 from netsteglab.wirecodec import (
+    SEQ_MOD,
     TCP_ACK,
     TCP_SYN,
     build_tcp_frame,
@@ -98,6 +101,8 @@ def test_segment_payload_edges():
     assert segment_payload(1461, 1460) == [1460, 1]
     with pytest.raises(ValueError):
         segment_payload(10, 0)
+    with pytest.raises(ValueError, match="negative payload length"):
+        segment_payload(-1, 1460)
 
 
 def test_link_model_validation():
@@ -126,6 +131,16 @@ def test_recv_buffer_must_fit_the_16_bit_window():
     for bad in (0, 0x10000, 65_600):
         with pytest.raises(ValueError, match="recv_buffer"):
             TcpLiteEndpoint(recv_buffer=bad)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"isn": -1}, "isn out of 32-bit range"),
+    ({"isn": SEQ_MOD}, "isn out of 32-bit range"),
+    ({"mss": 0}, "mss must be at least 1"),
+])
+def test_endpoint_rejects_isn_and_mss_out_of_range(fields, message):
+    with pytest.raises(ValueError, match=message):
+        TcpLiteEndpoint(**fields)
 
 
 def test_ip_id_wraps_modulo_2_16_past_65535_frames():
@@ -461,6 +476,21 @@ def test_corrupted_data_or_ack_is_dropped_and_the_segment_resent(kind, direction
     resent = [e.frame.tcp.seq for e in trace.events if e.kind == "retransmit"]
     assert resent == [0x10000001]
     assert trace.delivered == payload
+
+
+def test_synack_arriving_after_the_handshake_changes_nothing():
+    """The handshake timer resends a SYN only while no SYN-ACK has come, so
+    no transfer draws a second SYN-ACK; this one is handed in directly."""
+    sim = _Sim(payload_bytes(3000, seed=25), LinkModel(seed=26), TcpLiteEndpoint(),
+               TcpLiteEndpoint(isn=0x20000000), None, None, 0, 10**12)
+    trace = sim.run()
+    [synack] = [e.frame for e in trace.events if e.kind == "synack"]
+    def state():
+        return len(sim.events), sim.rtt_estimate, sim.data_start, sim.timer_epoch
+
+    before = state()
+    sim.arrive(DIR_S2C, sim.on_synack_arrive, synack)
+    assert state() == before and sim.queue == []
 
 
 def test_tap_delay_slows_transfer_but_preserves_delivery():
