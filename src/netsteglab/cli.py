@@ -80,6 +80,7 @@ from .wirecodec import (
     ns_to_pcap_ts,
     parse_frame,
     read_pcap,
+    rewrite_records,
     write_pcap,
 )
 
@@ -317,23 +318,12 @@ def cmd_transfer(args: argparse.Namespace) -> int:
 def cmd_rewrite_pcap(args: argparse.Namespace) -> int:
     if args.in_path is None or args.out_path is None:
         raise UsageError("rewrite-pcap needs --in and --out")
-    policy = _policy_from(args)
-    interceptor = Interceptor(policy)
-    modified: List[int] = []
-    frames = 0
+    interceptor = Interceptor(_policy_from(args))
     try:
         with PcapReader(args.in_path) as capture, PcapWriter(
             args.out_path, capture.snaplen, capture.thiszone, capture.sigfigs
         ) as out:
-            for frames, record in enumerate(capture, 1):
-                try:
-                    out_bytes = interceptor.process_bytes(record.frame_bytes)
-                except WireError:
-                    out_bytes = record.frame_bytes  # not ours to touch
-                if out_bytes != record.frame_bytes:
-                    modified.append(frames - 1)
-                    record = record._replace(frame_bytes=out_bytes)
-                out.write(record)
+            frames, modified = rewrite_records(capture, out, interceptor.process_bytes)
     except WireError as exc:  # the capture itself is malformed
         print(f"error: {args.in_path}: {exc}", file=sys.stderr)
         return 1

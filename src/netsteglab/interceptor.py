@@ -65,6 +65,8 @@ from .wirecodec import (
     EthernetFrame,
     SEQ_MOD,
     TCP_SYN,
+    _framed,
+    _views,
     fcs_ok,
     ipv4_str,
     peek_frame,
@@ -429,8 +431,8 @@ class Interceptor:
         undecided = state.stash_mask != _STASH_FULL
         if start == end or (not undecided and state.bmp is None):
             return frame
-        if not isinstance(frame, EthernetFrame):
-            frame = EthernetFrame(frame)
+        if not isinstance(frame, EthernetFrame):  # the views of the fields peeked
+            frame = _framed(frame, b"", False, False, _views(frame, ip, tcp))
         # Rewriting gives a frame fresh, valid checksums, so a frame that fails
         # them is never rewritten, and never decides its flow.  A frame whose
         # sums wirecodec made over its bytes cannot fail them.

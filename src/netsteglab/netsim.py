@@ -519,14 +519,21 @@ def deliver_schedule(
 
 
 def trace_to_pcap(trace: TransferTrace) -> PcapFile:
-    """Every transmitted frame (drop markers excluded), FCS stripped, in order."""
+    """Every transmitted frame (drop markers excluded), FCS stripped, in order.
+
+    Raises ``ValueError`` when a timestamp's seconds do not fit the 32-bit
+    field of a pcap record.
+    """
     records = []
+    new = tuple.__new__  # the fields are in range, as checked here
     for ev in trace.events:
         if ev.kind == "drop":
             continue
         sec, usec = ns_to_pcap_ts(ev.t_ns)
+        if not 0 <= sec < 1 << 32:
+            raise ValueError(f"timestamp out of range: {ev.t_ns} ns")
         data = ev.frame.data[:-4] if ev.frame.has_fcs else ev.frame.data
-        records.append(PcapRecord(ts_sec=sec, ts_usec=usec, frame_bytes=data))
+        records.append(new(PcapRecord, (sec, usec, data, len(data))))
     return PcapFile(records=tuple(records))
 
 
@@ -534,8 +541,12 @@ def trace_to_csv(trace: TransferTrace) -> str:
     """One line per trace event: timestamp_ns, direction, kind, seq, len."""
     lines = ["timestamp_ns,direction,kind,seq,len"]
     for ev in trace.events:
-        seq = ev.frame.tcp.seq if ev.frame.tcp is not None else ""
-        lines.append(
-            f"{ev.t_ns},{ev.direction},{ev.kind},{seq},{len(ev.frame.tcp_payload)}"
-        )
+        frame = ev.frame
+        tcp = frame.tcp
+        if tcp is None:
+            seq, size = "", 0
+        else:  # the TCP payload's length, without slicing it out
+            seq = tcp.seq
+            size = frame.ip.total_length - 4 * (frame.ip.ihl + tcp.data_offset)
+        lines.append(f"{ev.t_ns},{ev.direction},{ev.kind},{seq},{size}")
     return "\n".join(lines) + "\n"

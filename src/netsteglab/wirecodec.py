@@ -8,7 +8,10 @@ this module accepts, and a pcap read here and written back is byte-identical.
 The pcap format is written down once, as a stream: :class:`PcapReader` (and
 :func:`iter_pcap`, for the records alone) reads a capture one record at a
 time, and :class:`PcapWriter` writes one record per call, so a capture can
-pass from one to the other in constant memory.  :func:`read_pcap` and
+pass from one to the other in constant memory.  The reader scans records
+out of chunks of the file, and :func:`rewrite_records` passes a capture
+through a function of its frames with the same scan, copying the records
+that pass unchanged as they were read.  :func:`read_pcap` and
 :func:`write_pcap` hold a whole capture as a :class:`PcapFile` and are thin
 wrappers over the two.
 
@@ -51,7 +54,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import BinaryIO, Iterator, NamedTuple, Union
+from typing import BinaryIO, Callable, Iterator, List, NamedTuple, Tuple, Union
 
 ETHERTYPE_IPV4 = 0x0800
 PROTO_TCP = 6
@@ -693,23 +696,10 @@ def ns_to_pcap_ts(t_ns: int) -> tuple:
     return t_ns // 1_000_000_000, (t_ns % 1_000_000_000) // 1_000
 
 
-# The buffer size of the files opened here (a stream of small records then
-# costs fewer system calls than with the default 8 KiB), and the longest
-# single read: a read of n bytes allocates n up front, so a longer record is
-# read in pieces and a corrupt length allocates no more than the file holds.
+# The buffer size of the files opened here, and the size of the chunks the
+# pcap reader scans: a stream of small records then costs one read per chunk
+# rather than two per record.
 _IO_CHUNK = 1 << 16
-
-
-def _read_in_chunks(read, n: int) -> bytes:
-    """``n`` bytes from ``read``, or fewer at end of file."""
-    parts = []
-    while n > 0:
-        part = read(min(n, _IO_CHUNK))
-        if not part:
-            break
-        parts.append(part)
-        n -= len(part)
-    return b"".join(parts)
 
 
 class PcapReader:
@@ -755,22 +745,64 @@ class PcapReader:
             raise UnsupportedLinktype(f"linktype {linktype}")
         self._record_header = struct.Struct(endian + _RECORD_HEADER.format[1:])
 
-    def __iter__(self) -> Iterator[PcapRecord]:
-        read, new = self._in.read, tuple.__new__
-        size, unpack = self._record_header.size, self._record_header.unpack
+    def _scan(self) -> Iterator[tuple]:
+        """The records, as ``(buf, records)`` for each chunk of the file read.
+
+        ``buf`` holds whole records, each listed in ``records`` as ``(at,
+        stop, ts_sec, ts_usec, orig_len)``: its header starts at
+        ``buf[at]`` and its frame is ``buf[at + 16:stop]``.  The file is
+        read in chunks of :data:`_IO_CHUNK` bytes; a record cut by a
+        chunk's end is carried into the next, and a record longer than a
+        chunk is completed by further reads, so a corrupt length reads no
+        more than the file holds.  The records before a malformed one are
+        yielded before it raises.
+        """
+        read, unpack_from = self._in.read, self._record_header.unpack_from
+        head = self._record_header.size
+        rest, want = b"", 0  # the next record's bytes read so far, and its size if known
         while True:
-            head = read(size)
-            if not head:
+            parts = [rest] if rest else []
+            have = len(rest)
+            while True:  # one chunk, and more until the next record is whole
+                chunk = read(_IO_CHUNK)
+                if not chunk:
+                    break
+                parts.append(chunk)
+                have += len(chunk)
+                if have >= want:
+                    break
+            if have == len(rest):  # end of file
+                if rest:
+                    raise TruncatedRecord(
+                        "record header truncated" if len(rest) < head
+                        else "record body truncated"
+                    )
                 return
-            if len(head) < size:
-                raise TruncatedRecord("record header truncated")
-            ts_sec, ts_usec, incl_len, orig_len = unpack(head)
-            body = read(incl_len) if incl_len <= _IO_CHUNK else _read_in_chunks(read, incl_len)
-            if len(body) < incl_len:
-                raise TruncatedRecord("record body truncated")
-            if ts_usec >= 1_000_000:
-                raise BadTimestamp(f"record microseconds {ts_usec} out of range")
-            yield new(PcapRecord, (ts_sec, ts_usec, body, orig_len))
+            buf = b"".join(parts)
+            records, error, pos, end, want = [], None, 0, have, 0
+            while pos + head <= end:
+                ts_sec, ts_usec, incl_len, orig_len = unpack_from(buf, pos)
+                stop = pos + head + incl_len
+                if stop > end:
+                    want = stop - pos
+                    break
+                if ts_usec >= 1_000_000:
+                    error = BadTimestamp(f"record microseconds {ts_usec} out of range")
+                    break
+                records.append((pos, stop, ts_sec, ts_usec, orig_len))
+                pos = stop
+            if records:
+                yield buf, records
+            if error is not None:
+                raise error
+            rest = buf[pos:]
+
+    def __iter__(self) -> Iterator[PcapRecord]:
+        new = tuple.__new__
+        head = self._record_header.size
+        for buf, records in self._scan():
+            for at, stop, ts_sec, ts_usec, orig_len in records:
+                yield new(PcapRecord, (ts_sec, ts_usec, buf[at + head:stop], orig_len))
 
     def close(self) -> None:
         if self._owned:
@@ -864,6 +896,50 @@ class PcapWriter:
 
     def __exit__(self, exc_type, *exc_info) -> None:
         self._finish(keep=exc_type is None)
+
+
+def rewrite_records(
+    reader: PcapReader, writer: PcapWriter, fn: Callable[[bytes], bytes]
+) -> Tuple[int, List[int]]:
+    """Write each record of ``reader`` to ``writer``, its frame through ``fn``.
+
+    ``fn`` takes a record's frame bytes and returns the bytes to write in
+    their place, the same object when the frame passes unchanged; a frame
+    on which it raises :class:`WireError` passes unchanged.  A record that
+    passes is copied as read, and a run of them as one slice, when the
+    capture is little-endian; any other record is written as
+    :meth:`PcapWriter.write` writes it.  The output equals writing every
+    record that way.  Returns the number of records and the indices of
+    those whose frame bytes changed.
+    """
+    write, pack = writer._write, _RECORD_HEADER.pack
+    head = reader._record_header.size
+    as_read = reader._record_header.format[0] == "<"
+    changed: List[int] = []
+    index = 0
+    for buf, records in reader._scan():
+        run = None  # where the current run of records copied as read starts
+        for at, stop, ts_sec, ts_usec, orig_len in records:
+            frame = buf[at + head:stop]
+            try:
+                out = fn(frame)
+            except WireError:
+                out = frame
+            if out is frame and as_read:
+                if run is None:
+                    run = at
+            else:
+                if run is not None:
+                    write(buf[run:at])
+                    run = None
+                write(pack(ts_sec, ts_usec, len(out), orig_len))
+                write(out)
+                if out != frame:
+                    changed.append(index)
+            index += 1
+        if run is not None:
+            write(buf[run:stop])
+    return index, changed
 
 
 def write_pcap(out: Union[str, BinaryIO], pcap: PcapFile) -> None:

@@ -125,6 +125,8 @@ def test_bitmessage_sequence_protocol():
     assert msg[1:3] == BitMessage.from01("10")
     assert msg + BitMessage.from01("0") == BitMessage.from01("11010")
     assert hash(msg) == hash(BitMessage.from01("1101"))
+    with pytest.raises(TypeError):
+        msg + [0]  # only a BitMessage is joined
 
 
 @given(bits_lists, bits_lists)

@@ -8,6 +8,7 @@ CLI as a separate process: the ``stegctl`` target declared in
 ``stegctl`` script on PATH.
 """
 
+import argparse
 import hashlib
 import shutil
 import struct
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from netsteglab import cli
 from netsteglab.bmp import make_bmp, parse_bmp_info
 from netsteglab.channels import BitMessage
 from netsteglab.cli import CHANNELS, _build_parser, _parse, main
@@ -425,6 +427,15 @@ def test_help_returns_zero_every_time(capsys):
         code, out, _ = run(argv, capsys)
         assert code == 0
         assert " ".join(["stegctl", *argv[:-1]]) in out
+
+
+@pytest.mark.parametrize("code, returned", [(None, 0), ("message", 2)])
+def test_main_returns_the_code_of_a_system_exit(monkeypatch, code, returned):
+    def leave(args):
+        raise SystemExit(code)
+
+    monkeypatch.setattr(cli, "_parse", lambda argv: argparse.Namespace(func=leave))
+    assert main(["classify"]) == returned
 
 
 # ---------------------------------------------------------------------------

@@ -1013,3 +1013,30 @@ def test_process_bytes_equals_parse_frame_then_process(seed):
     assert modified > 0
     assert by_bytes.flow_reports() == by_frames.flow_reports()
     assert sum(r.frames_seen for r in by_bytes.flow_reports()) > 0
+
+
+def test_process_bytes_peeks_each_record_once(monkeypatch):
+    """A record's fields are read once, also when its frame is built to be
+    stashed, verified or embedded."""
+    from netsteglab import interceptor, wirecodec
+
+    calls = []
+
+    def counted(data, has_fcs=False):
+        calls.append(data)
+        return peek(data, has_fcs)
+
+    peek = wirecodec.peek_frame
+    monkeypatch.setattr(wirecodec, "peek_frame", counted)
+    monkeypatch.setattr(interceptor, "peek_frame", counted)
+    capture = _mixed_capture(random.Random(3))
+    tap = Interceptor(MSG)
+    modified = 0
+    for data in capture:
+        try:
+            modified += tap.process_bytes(data) is not data
+        except WireError:
+            pass
+    assert modified > 0
+    assert len(calls) == len(capture)
+    assert all(seen is data for seen, data in zip(calls, capture))

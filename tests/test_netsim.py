@@ -8,6 +8,7 @@ nanosecond.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -554,12 +555,24 @@ def test_trace_to_pcap_excludes_drops_and_strips_fcs():
         assert record.ts_sec * 1_000_000 + record.ts_usec == event.t_ns // 1000
 
 
+
+def test_trace_to_pcap_rejects_a_timestamp_past_32_bits_of_seconds():
+    trace = simulate_transfer(payload_bytes(2000), LinkModel())
+    last = trace.events[-1]
+    assert trace_to_pcap(replace(trace, events=(last._replace(t_ns=((1 << 32) - 1) * 10**9),)))
+    late = replace(trace, events=trace.events[:-1] + (last._replace(t_ns=(1 << 32) * 10**9),))
+    with pytest.raises(ValueError, match="timestamp out of range"):
+        trace_to_pcap(late)
+
+
 def test_trace_to_csv_shape():
     trace = simulate_transfer(payload_bytes(2000), LinkModel())
     lines = trace_to_csv(trace).strip().split("\n")
     assert lines[0] == "timestamp_ns,direction,kind,seq,len"
     assert len(lines) == len(trace.events) + 1
     assert lines[1].split(",")[1:4] == ["c2s", "syn", str(0x10000000)]
+    for line, event in zip(lines[1:], trace.events):
+        assert int(line.split(",")[4]) == len(event.frame.tcp_payload)
 
 
 def test_client_ip_constant_matches_frames():

@@ -15,6 +15,7 @@ import os
 import random
 import stat
 import struct
+import tempfile
 import threading
 import tracemalloc
 
@@ -24,11 +25,13 @@ from hypothesis import example, given, strategies as st
 from netsteglab import wirecodec
 from netsteglab.wirecodec import (
     BadMagic,
+    BadTimestamp,
     BadVersion,
     EthernetFrame,
     IP_FLAG_DF,
     IP_FLAG_MF,
     PcapFile,
+    PcapReader,
     PcapRecord,
     PcapWriter,
     TCP_NS,
@@ -48,6 +51,7 @@ from netsteglab.wirecodec import (
     parse_frame,
     peek_frame,
     read_pcap,
+    rewrite_records,
     strip_fcs,
     tcp_checksum_ok,
     with_ip_fields,
@@ -355,6 +359,10 @@ def test_tcp_view_absent_for_fragments_and_non_tcp():
     mf = wire.copy()
     mf[14 + 6:14 + 8] = struct.pack("!H", (0b001 << 13) | 0)
     assert parse_frame(bytes(mf)).tcp is None
+    # Not IPv4 at all: no views, and nothing is payload or trailer by IP rules.
+    arp = parse_frame(bytes(wire[:12]) + b"\x08\x06" + bytes(wire[14:]))
+    assert arp.ip is None and arp.tcp is None
+    assert arp.tcp_payload == b"" and arp.trailer == b""
 
 
 def test_parse_errors():
@@ -1278,3 +1286,153 @@ def test_read_pcap_on_mutated_captures_raises_only_wire_error(seed, count, flipp
     buf = io.BytesIO()
     write_pcap(buf, PcapFile(records=records))
     _read_pcap_or_none(_mutate(buf.getvalue(), flipped, cut))
+
+
+# ---------------------------------------------------------------------------
+# the pcap record scanner
+
+
+CHUNK = wirecodec._IO_CHUNK
+
+
+def pcap_oracle(source):
+    """The records of a capture, read as two reads per record: a header,
+    then a body.  Yields each record before the next is read."""
+    header = source.read(24)
+    endian = "<" if struct.unpack_from("<I", header)[0] == 0xA1B2C3D4 else ">"
+    record_header = struct.Struct(endian + "IIII")
+    while True:
+        head = source.read(16)
+        if not head:
+            return
+        if len(head) < 16:
+            raise TruncatedRecord("record header truncated")
+        ts_sec, ts_usec, incl_len, orig_len = record_header.unpack(head)
+        body = source.read(incl_len)
+        if len(body) < incl_len:
+            raise TruncatedRecord("record body truncated")
+        if ts_usec >= 1_000_000:
+            raise BadTimestamp(f"record microseconds {ts_usec} out of range")
+        yield PcapRecord(ts_sec, ts_usec, body, orig_len)
+
+
+def _drain(records) -> tuple:
+    """The records an iterator yields, and the type and text of the error
+    that ends it, if any."""
+    seen = []
+    try:
+        for record in records:
+            seen.append(record)
+    except WireError as exc:
+        return seen, (type(exc), str(exc))
+    return seen, None
+
+
+class _Trickle:
+    """A binary file that returns at most ``most`` bytes per read, as a raw
+    pipe may (at least the global header's 24, which is read at once)."""
+
+    def __init__(self, data: bytes, most: int):
+        self._in, self._most = io.BytesIO(data), most
+
+    def read(self, n: int = -1) -> bytes:
+        return self._in.read(min(n, self._most) if n >= 0 else self._most)
+
+
+# Record sizes: small frames, frames of a few KiB, and frames around one and
+# two chunks, which put the next record's header across a chunk's end.
+record_sizes = st.lists(
+    st.integers(0, 100) | st.integers(0, 3000) | st.integers(CHUNK - 90, CHUNK + 40)
+    | st.integers(2 * CHUNK - 40, 2 * CHUNK + 40),
+    max_size=5,
+)
+# A fault at a random record: its file cut at a random byte of it, or its
+# microseconds out of range.
+faults = st.none() | st.tuples(st.sampled_from(["cut", "usec"]), st.integers(0, 1 << 20),
+                               st.integers(0, 1 << 20))
+
+
+def _capture(endian: str, sizes, seed: int, fault) -> bytes:
+    rng = random.Random(seed)
+    record_header = struct.Struct(endian + "IIII")
+    out = [struct.pack(endian + "IHHiIII", 0xA1B2C3D4, 2, 4, -60, 3, 65535, 1)]
+    starts = []
+    for size in sizes:
+        starts.append(sum(map(len, out)))
+        usec = rng.randrange(1_000_000)
+        if fault is not None and fault[0] == "usec" and fault[1] % len(sizes) == len(starts) - 1:
+            usec = 1_000_000 + fault[2] % (1 << 31)
+        out.append(record_header.pack(rng.randrange(1 << 32), usec, size,
+                                      size + rng.randrange(3)))
+        out.append(rng.randbytes(size))
+    data = b"".join(out)
+    if fault is not None and fault[0] == "cut" and sizes:
+        at = fault[1] % len(sizes)
+        data = data[:starts[at] + fault[2] % (16 + sizes[at])]
+    return data
+
+
+FLIP = bytes(range(255, -1, -1))  # each byte XOR 0xFF
+
+
+# Functions of a frame: passing it, changing every frame or some, and
+# returning equal bytes in a new object (written out, but not changed).
+REWRITES = {
+    "identity": lambda frame: frame,
+    "flip-all": lambda frame: frame.translate(FLIP),
+    "flip-some": lambda frame: frame.translate(FLIP) if len(frame) % 3 else frame,
+    "equal-copy": lambda frame: bytes(bytearray(frame)),
+}
+
+
+def _reference_rewrite(data: bytes, fn) -> tuple:
+    """Every record through PcapReader, fn and PcapWriter.write."""
+    out, changed, count = io.BytesIO(), [], 0
+    with PcapReader(data) as capture, PcapWriter(
+        out, capture.snaplen, capture.thiszone, capture.sigfigs
+    ) as writer:
+        for count, record in enumerate(capture, 1):
+            frame = fn(record.frame_bytes)
+            if frame != record.frame_bytes:
+                changed.append(count - 1)
+            writer.write(record._replace(frame_bytes=frame))
+    return out.getvalue(), count, changed
+
+
+@given(st.sampled_from("<>"), record_sizes, st.integers(0, 1 << 16), faults,
+       st.none() | st.integers(24, 3 * CHUNK))
+@example(endian="<", sizes=[CHUNK - 42, 0, 5], seed=0, fault=None, most=None)
+@example(endian=">", sizes=[CHUNK + 7, 3], seed=1, fault=("cut", 0, CHUNK), most=None)
+@example(endian="<", sizes=[10, 20, 30], seed=2, fault=("usec", 1, 0), most=None)
+def test_pcap_reader_scans_the_records_the_two_read_oracle_reads(
+    endian, sizes, seed, fault, most
+):
+    data = _capture(endian, sizes, seed, fault)
+    source = data if most is None else _Trickle(data, most)
+    with PcapReader(source) as capture:
+        scanned = _drain(capture)
+    assert scanned == _drain(pcap_oracle(io.BytesIO(data)))
+
+
+@given(st.sampled_from("<>"), record_sizes, st.integers(0, 1 << 16), faults)
+@example(endian="<", sizes=[CHUNK - 42, 0, 5], seed=0, fault=None)
+def test_rewrite_records_equals_writing_every_record(endian, sizes, seed, fault):
+    data = _capture(endian, sizes, seed, fault)
+    for name, fn in REWRITES.items():
+        try:
+            expected = _reference_rewrite(data, fn)
+        except WireError as exc:
+            expected = (type(exc), str(exc))
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "out.pcap")
+            try:
+                with PcapReader(data) as capture, PcapWriter(
+                    path, capture.snaplen, capture.thiszone, capture.sigfigs
+                ) as writer:
+                    count, changed = rewrite_records(capture, writer, fn)
+            except WireError as exc:
+                assert (type(exc), str(exc)) == expected, name
+                assert os.listdir(folder) == [], name  # a failed run leaves no output
+                continue
+            with open(path, "rb") as fh:
+                assert (fh.read(), count, changed) == expected, name
