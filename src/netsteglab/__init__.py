@@ -19,7 +19,6 @@ from .wirecodec import (
     build_tcp_frame,
     fcs32,
     internet_checksum,
-    iter_pcap,
     parse_frame,
     read_pcap,
     tcp_checksum_ok,
@@ -66,8 +65,8 @@ __version__ = "0.1.0"
 __all__ = [
     "EthernetFrame", "Ipv4Header", "TcpHeader", "PcapFile", "PcapReader",
     "PcapRecord", "PcapWriter", "WireError", "build_tcp_frame", "fcs32",
-    "internet_checksum", "iter_pcap", "parse_frame", "read_pcap",
-    "tcp_checksum_ok", "write_pcap",
+    "internet_checksum", "parse_frame", "read_pcap", "tcp_checksum_ok",
+    "write_pcap",
     "BitMessage", "CovertChannelError", "HttpHeaderConfig", "TimingConfig",
     "TtlConfig",
     "BmpInfo", "NotBmp", "UnsupportedBpp", "make_bmp", "parse_bmp_info",

@@ -113,12 +113,6 @@ def bmp_file_size(width: int, height: int, bpp: int = 24) -> int:
 _BYTE_VALUES = bytes(range(256))
 _TIMES_7 = bytes(7 * v & 0xFF for v in range(256))
 _GRAY_PALETTE = bytes(v for i in range(256) for v in (i, i, i, 0))
-# each pattern maps every gradient byte through one translate table
-_PATTERN_TABLES = {
-    "gradient": None,
-    "even": bytes(v & 0xFE for v in range(256)),
-    "flat": b"\x80" * 256,
-}
 
 
 def _plus(k: int) -> bytes:
@@ -127,23 +121,18 @@ def _plus(k: int) -> bytes:
     return _BYTE_VALUES[k:] + _BYTE_VALUES[:k]
 
 
-def make_bmp(width: int, height: int, bpp: int = 24, pattern: str = "gradient") -> bytes:
+def make_bmp(width: int, height: int, bpp: int = 24) -> bytes:
     """Deterministic synthetic BMP so tests and demos need no binary fixtures.
 
-    ``pattern`` selects the pixel fill: ``gradient`` (varied low bits),
-    ``even`` (all carrier bytes with LSB 0) or ``flat``.  The gradient
-    pixel at column x, row y is ``(blue, green, red) = (x, y, 7x + 13y)``
-    modulo 256; ``even`` clears each byte's LSB and ``flat`` sets every
-    byte to 0x80.  8-bpp files store the red value.  Rows are built whole,
-    a channel at a time, with slices and translate tables.
+    The pixel fill is a gradient with varied low bits: the pixel at column
+    x, row y is ``(blue, green, red) = (x, y, 7x + 13y)`` modulo 256, and
+    8-bpp files store the red value.  Rows are built whole, a channel at a
+    time, with slices and translate tables.
     """
     if width < 1 or height < 1:
         raise ValueError("width and height must be positive")
     if bpp not in (8, 24):
         raise UnsupportedBpp(f"{bpp} bits per pixel")
-    if pattern not in _PATTERN_TABLES:
-        raise ValueError(f"unknown pattern {pattern!r}")
-    table = _PATTERN_TABLES[pattern]
     pixel_bytes = width * (bpp // 8)
     stride = (pixel_bytes + 3) // 4 * 4
     padding = bytes(stride - pixel_bytes)
@@ -159,11 +148,11 @@ def make_bmp(width: int, height: int, bpp: int = 24, pattern: str = "gradient") 
     red0 = ramp.translate(_TIMES_7)                      # the red of row 0
     row = bytearray(pixel_bytes)
     if bpp == 24:
-        row[0::3] = ramp.translate(table)
+        row[0::3] = ramp
     for y in range(height):
-        red = red0.translate(_plus(13 * y)).translate(table)
+        red = red0.translate(_plus(13 * y))
         if bpp == 24:
-            row[1::3] = bytes((y & 0xFF,)).translate(table) * width
+            row[1::3] = bytes((y & 0xFF,)) * width
             row[2::3] = red
             out += row
         else:

@@ -108,7 +108,8 @@ class FlowState:
     frames_modified: int = 0
     carrier_bits: int = 0
     # stream ranges [start, end) that crossed the tap unembedded and have not
-    # been embedded since; disjoint and sorted
+    # been embedded since; disjoint and sorted, and empty once the flow is
+    # decided not to carry
     unembedded: list = field(default_factory=list)
 
 
@@ -446,6 +447,7 @@ class Interceptor:
             try:
                 state.bmp = parse_bmp_info(bytes(state.header_stash))
             except (NotBmp, UnsupportedBpp):
+                state.unembedded.clear()
                 return frame
         return _embed(frame, state, start, self.policy)
 

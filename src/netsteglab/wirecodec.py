@@ -5,10 +5,10 @@ checksum, the IEEE CRC-32 frame check sequence, and classic pcap files.
 Everything round-trips: ``parse_frame(data).emit() == data`` for any frame
 this module accepts, and a pcap read here and written back is byte-identical.
 
-The pcap format is written down once, as a stream: :class:`PcapReader` (and
-:func:`iter_pcap`, for the records alone) reads a capture one record at a
-time, and :class:`PcapWriter` writes one record per call, so a capture can
-pass from one to the other in constant memory.  The reader scans records
+The pcap format is written down once, as a stream: :class:`PcapReader`
+reads a capture one record at a time, and :class:`PcapWriter` writes one
+record per call, so a capture can pass from one to the other in constant
+memory.  The reader scans records
 out of chunks of the file, and :func:`rewrite_records` passes a capture
 through a function of its frames with the same scan, copying the records
 that pass unchanged as they were read.  :func:`read_pcap` and
@@ -27,7 +27,8 @@ sums its checksums from those values (RFC 1071 arithmetic), packs its
 headers once with the checksums in place, joins the frame and its FCS once,
 and does not parse what it made.  :func:`with_ip_fields` parses its output,
 since the fields it changes can change what the parser decides.  A test
-holds every view a builder makes equal to a re-parse of its bytes.
+holds every view a builder makes equal to a re-parse of its bytes.  The
+verifiers recompute each checksum with the value sum a builder uses.
 
 A frame this module made carries known sums: :attr:`EthernetFrame.sums_known`
 is True when :func:`build_tcp_frame` or a ``with_*`` helper computed its TCP
@@ -84,10 +85,8 @@ _MAX_TCP_PAYLOAD = (1 << 16) - IPV4_MIN_HEADER - TCP_MIN_HEADER
 _IPV4 = struct.Struct("!BBHHHBBHII")
 _TCP = struct.Struct("!HHIIHHHH")
 _HEADERS = struct.Struct("!6s6sH" + _IPV4.format[1:] + _TCP.format[1:])  # Ethernet, IPv4, TCP
-_PSEUDO = struct.Struct("!8sxBH")  # src and dst, zero byte, protocol, TCP length
 _U16 = struct.Struct("!H")
 _FCS = struct.Struct("<I")
-_IP_CHECKSUM_AT = 10
 _TCP_CHECKSUM_AT = 16
 _set = object.__setattr__  # how a frozen frame sets its derived fields
 
@@ -175,6 +174,10 @@ _IPV4_BITS = {
     "flags": 3, "frag_offset": 13, "ttl": 8, "protocol": 8, "header_checksum": 16,
     "src_ip": 32, "dst_ip": 32,
 }
+# Where each fixed IPv4 field's lowest bit sits in the 160-bit fixed header
+# (``_IPV4_BITS`` lists the fields in wire order).
+_IPV4_SHIFT = dict(zip(_IPV4_BITS, (160 - end for end in accumulate(_IPV4_BITS.values()))))
+_IP_CHECKSUM_SHIFT = _IPV4_SHIFT["header_checksum"]
 
 
 class Ipv4Header(NamedTuple):
@@ -377,17 +380,21 @@ def parse_frame(data: bytes, has_fcs: bool = False) -> EthernetFrame:
 # checksum plumbing and mutation helpers
 
 
-def _ip_sum(header: bytes) -> int:
-    # Leaving out the aligned checksum word sums the same as zeroing it.
-    return internet_checksum(header[:_IP_CHECKSUM_AT] + header[_IP_CHECKSUM_AT + 2:])
+def _ip_checksum(fixed: int, options: bytes) -> int:
+    """The checksum of an IPv4 header: its fixed 20 bytes read as the
+    integer ``fixed`` (checksum field ignored), then ``options``, whole words."""
+    return _fold((fixed & ~(0xFFFF << _IP_CHECKSUM_SHIFT)) + int.from_bytes(options, "big"))
 
 
-def _tcp_sum(ip_header: bytes, header: bytes, payload: bytes) -> int:
-    """TCP checksum over the pseudo-header taken from the IPv4 header bytes
-    ``ip_header``, ``header`` without its checksum word, and ``payload``."""
-    pseudo = _PSEUDO.pack(ip_header[12:20], ip_header[9], len(header) + len(payload))
-    return internet_checksum(
-        pseudo + header[:_TCP_CHECKSUM_AT] + header[_TCP_CHECKSUM_AT + 2:] + payload
+def _tcp_checksum(ip: Ipv4Header, tcp: TcpHeader, payload: bytes) -> int:
+    """The checksum of the TCP header ``tcp`` (checksum field ignored) and
+    ``payload`` in the datagram ``ip``, pseudo-header included."""
+    sport, dport, seq, ack, offset, flags, window, _, urgent, options, reserved = tcp
+    # The sum of the views' values is the sum of the bytes they were read from.
+    return _fold(
+        ip.src_ip + ip.dst_ip + ip.protocol + ip.total_length - 4 * ip.ihl
+        + sport + dport + seq + ack + (offset << 12 | reserved << 9 | flags) + window + urgent
+        + int.from_bytes(options, "big") + _words(payload)
     )
 
 
@@ -425,8 +432,8 @@ def ipv4_checksum_ok(frame: EthernetFrame) -> bool:
     ip = frame.ip
     if ip is None:
         return True
-    header = frame.data[ETH_HEADER_LEN:ETH_HEADER_LEN + ip.header_len]
-    return _ip_sum(header) == ip.header_checksum
+    fixed = int.from_bytes(frame.data[ETH_HEADER_LEN:ETH_HEADER_LEN + IPV4_MIN_HEADER], "big")
+    return _ip_checksum(fixed, ip.options) == ip.header_checksum
 
 
 def tcp_checksum_ok(frame: EthernetFrame) -> bool:
@@ -438,11 +445,9 @@ def tcp_checksum_ok(frame: EthernetFrame) -> bool:
     ip, tcp = frame.ip, frame.tcp
     if tcp is None:
         return True
-    data = frame.data
-    start = ETH_HEADER_LEN + ip.header_len
-    at = start + tcp.header_len
-    payload = data[at:ETH_HEADER_LEN + ip.total_length]
-    return _tcp_sum(data[ETH_HEADER_LEN:start], data[start:at], payload) == tcp.checksum
+    at = ETH_HEADER_LEN + 4 * (ip.ihl + tcp.data_offset)
+    payload = frame.data[at:ETH_HEADER_LEN + ip.total_length]
+    return _tcp_checksum(ip, tcp, payload) == tcp.checksum
 
 
 def fcs_ok(frame: EthernetFrame) -> bool:
@@ -450,10 +455,6 @@ def fcs_ok(frame: EthernetFrame) -> bool:
     return not frame.has_fcs or fcs32(frame.data[:-4]) == frame.fcs
 
 
-# Where each fixed IPv4 field's lowest bit sits in the 160-bit fixed header
-# (``_IPV4_BITS`` lists the fields in wire order).
-_IPV4_SHIFT = dict(zip(_IPV4_BITS, (160 - end for end in accumulate(_IPV4_BITS.values()))))
-_IP_CHECKSUM_SHIFT = _IPV4_SHIFT["header_checksum"]
 # IPv4 fields the TCP checksum covers through its pseudo-header.
 _PSEUDO_FIELDS = frozenset({"src_ip", "dst_ip", "protocol", "total_length"})
 
@@ -478,11 +479,9 @@ def with_ip_fields(frame: EthernetFrame, **fields) -> EthernetFrame:
         bits, shift = _IPV4_BITS[name], _IPV4_SHIFT[name]
         _check_range(name, value, bits)
         fixed = (fixed & ~(((1 << bits) - 1) << shift)) | (value << shift)
-    # Options are whole 32-bit words, so the header's words sum to those of
-    # the fixed part (checksum cleared) plus those of the options.
-    fixed &= ~(0xFFFF << _IP_CHECKSUM_SHIFT)
-    checksum = _fold(fixed + int.from_bytes(ip.options, "big"))
-    header = (fixed | checksum << _IP_CHECKSUM_SHIFT).to_bytes(IPV4_MIN_HEADER, "big")
+    checksum = _ip_checksum(fixed, ip.options)
+    fixed = fixed & ~(0xFFFF << _IP_CHECKSUM_SHIFT) | checksum << _IP_CHECKSUM_SHIFT
+    header = fixed.to_bytes(IPV4_MIN_HEADER, "big")
     header += ip.options
     # The TCP segment is copied as it is, so unless it is repaired below its
     # checksum is as good (or as unknown) as the input's.
@@ -506,18 +505,10 @@ def with_tcp_payload(frame: EthernetFrame, payload: bytes) -> EthernetFrame:
     at = start + tcp.header_len
     if len(payload) != ETH_HEADER_LEN + ip.total_length - at:
         raise ValueError("replacement payload must preserve length")
-    sport, dport, seq, ack, offset, flags, window, _, urgent, options, reserved = tcp
-    # The sum of the view's values is the sum of the bytes they were read from.
-    checksum = _fold(
-        ip.src_ip + ip.dst_ip + ip.protocol + ip.total_length - ip.header_len
-        + sport + dport + seq + ack + (offset << 12 | reserved << 9 | flags) + window + urgent
-        + int.from_bytes(options, "big") + _words(payload)
-    )
+    checksum = _tcp_checksum(ip, tcp, payload)
     at_sum = start + _TCP_CHECKSUM_AT
     head = old[:at_sum] + _U16.pack(checksum) + old[at_sum + 2:at]
-    tcp = tuple.__new__(TcpHeader, (
-        sport, dport, seq, ack, offset, flags, window, checksum, urgent, options, reserved,
-    ))
+    tcp = tuple.__new__(TcpHeader, tcp[:7] + (checksum,) + tcp[8:])  # checksum replaced
     return _framed(head, payload + frame.trailer, frame.has_fcs, True, (ip, tcp))
 
 
@@ -571,34 +562,31 @@ def build_tcp_frame(
     flags: int = TCP_ACK,
     payload: bytes = b"",
     window: int = 4096,
-    urgent_ptr: int = 0,
     ttl: int = 64,
     ip_id: int = 0,
-    ip_flags: int = IP_FLAG_DF,
-    frag_offset: int = 0,
-    tos: int = 0,
     dst_mac: bytes = b"\x02\x00\x00\x00\x00\x02",
     src_mac: bytes = b"\x02\x00\x00\x00\x00\x01",
     with_fcs: bool = False,
 ) -> EthernetFrame:
-    """Assemble a checksummed TCP/IPv4/Ethernet frame from field values."""
+    """Assemble a checksummed TCP/IPv4/Ethernet frame from field values.
+
+    The headers carry no options, TOS 0, DF set, fragment offset 0 and
+    urgent pointer 0; :func:`with_ip_fields` sets IPv4 fields afterwards.
+    """
     # One guard, in the order of the checks below, which run only when it
     # fails so that the error names the first bad argument.
     if not (
         len(dst_mac) == 6 and len(src_mac) == 6 and len(payload) < _MAX_TCP_PAYLOAD
         and 0 <= src_port < 1 << 16 and 0 <= dst_port < 1 << 16 and 0 <= flags < 1 << 9
-        and 0 <= window < 1 << 16 and 0 <= urgent_ptr < 1 << 16 and 0 <= tos < 1 << 8
-        and 0 <= ip_id < 1 << 16 and 0 <= ip_flags < 1 << 3
-        and 0 <= frag_offset < 1 << 13 and 0 <= ttl < 1 << 8
+        and 0 <= window < 1 << 16 and 0 <= ip_id < 1 << 16 and 0 <= ttl < 1 << 8
     ):
         if len(dst_mac) != 6 or len(src_mac) != 6:
             raise ValueError("MAC addresses must be 6 bytes")
         for name, value, bits in (
             ("src_port", src_port, 16), ("dst_port", dst_port, 16), ("flags", flags, 9),
-            ("window", window, 16), ("urgent_ptr", urgent_ptr, 16), ("tos", tos, 8),
+            ("window", window, 16),
             ("total_length", IPV4_MIN_HEADER + TCP_MIN_HEADER + len(payload), 16),
-            ("ip_id", ip_id, 16),
-            ("ip_flags", ip_flags, 3), ("frag_offset", frag_offset, 13), ("ttl", ttl, 8),
+            ("ip_id", ip_id, 16), ("ttl", ttl, 8),
         ):
             _check_range(name, value, bits)
     if type(src_ip) is not int or not 0 <= src_ip < 1 << 32:
@@ -606,34 +594,32 @@ def build_tcp_frame(
     if type(dst_ip) is not int or not 0 <= dst_ip < 1 << 32:
         dst_ip = ipv4(dst_ip)
     total_length = IPV4_MIN_HEADER + TCP_MIN_HEADER + len(payload)
-    flags_frag = ip_flags << 13 | frag_offset
     seq %= SEQ_MOD
     ack %= SEQ_MOD
     off_bits = 5 << 12 | flags
     # Each checksum sums the 16-bit words of the values packed below; a
     # 32-bit value sums as its two words, since 2^16 ≡ 1 (mod 0xFFFF).
     ip_checksum = _fold(
-        0x4500 + tos + total_length + ip_id + flags_frag + (ttl << 8) + PROTO_TCP
+        0x4500 + total_length + ip_id + (IP_FLAG_DF << 13) + (ttl << 8) + PROTO_TCP
         + src_ip + dst_ip
     )
     tcp_checksum = _fold(
         src_ip + dst_ip + PROTO_TCP + total_length - IPV4_MIN_HEADER
-        + src_port + dst_port + seq + ack + off_bits + window + urgent_ptr + _words(payload)
+        + src_port + dst_port + seq + ack + off_bits + window + _words(payload)
     )
     head = _HEADERS.pack(
         dst_mac, src_mac, ETHERTYPE_IPV4,
-        0x45, tos, total_length, ip_id, flags_frag, ttl, PROTO_TCP, ip_checksum, src_ip, dst_ip,
-        src_port, dst_port, seq, ack, off_bits, window, tcp_checksum, urgent_ptr,
+        0x45, 0, total_length, ip_id, IP_FLAG_DF << 13, ttl, PROTO_TCP, ip_checksum,
+        src_ip, dst_ip,
+        src_port, dst_port, seq, ack, off_bits, window, tcp_checksum, 0,
     )
     ip = tuple.__new__(Ipv4Header, (
-        4, 5, tos, total_length, ip_id, ip_flags, frag_offset, ttl, PROTO_TCP, ip_checksum,
+        4, 5, 0, total_length, ip_id, IP_FLAG_DF, 0, ttl, PROTO_TCP, ip_checksum,
         src_ip, dst_ip, b"",
     ))
-    tcp = None  # a fragment has no TCP view, as the parser decides
-    if not (ip_flags & IP_FLAG_MF or frag_offset):
-        tcp = tuple.__new__(TcpHeader, (
-            src_port, dst_port, seq, ack, 5, flags, window, tcp_checksum, urgent_ptr, b"", 0,
-        ))
+    tcp = tuple.__new__(TcpHeader, (
+        src_port, dst_port, seq, ack, 5, flags, window, tcp_checksum, 0, b"", 0,
+    ))
     return _framed(head, payload, with_fcs, True, (ip, tcp))
 
 
@@ -675,10 +661,6 @@ class PcapRecord(_PcapFields):
             raise ValueError(f"timestamp out of range: {ts_sec} s {ts_usec} us")
         _check_range("orig_len", orig_len, 32)
         return tuple.__new__(cls, (ts_sec, ts_usec, frame_bytes, orig_len))
-
-    @property
-    def incl_len(self) -> int:
-        return len(self.frame_bytes)
 
 
 @dataclass(frozen=True)
@@ -726,7 +708,7 @@ class PcapReader:
             raise
 
     def _read_global_header(self) -> None:
-        data = self._in.read(_GLOBAL_HEADER.size)
+        data = self._read(b"", _GLOBAL_HEADER.size)
         if len(data) < 4:
             raise BadMagic("file too short for a pcap magic number")
         magic_le = struct.unpack_from("<I", data)[0]
@@ -738,48 +720,47 @@ class PcapReader:
             raise BadMagic(f"unknown magic 0x{magic_le:08X}")
         if len(data) < _GLOBAL_HEADER.size:
             raise TruncatedRecord("global header truncated")
-        _, _, _, self.thiszone, self.sigfigs, self.snaplen, linktype = struct.unpack(
+        _, _, _, self.thiszone, self.sigfigs, self.snaplen, linktype = struct.unpack_from(
             endian + _GLOBAL_HEADER.format[1:], data
         )
         if linktype != LINKTYPE_ETHERNET:
             raise UnsupportedLinktype(f"linktype {linktype}")
         self._record_header = struct.Struct(endian + _RECORD_HEADER.format[1:])
+        self._rest = data[_GLOBAL_HEADER.size:]  # the first records, read with the header
+
+    def _read(self, rest: bytes, want: int) -> bytes:
+        """``rest`` and the next chunk of the file, and more chunks until there
+        are ``want`` bytes or the file ends; reads may come back short."""
+        read = self._in.read
+        parts = [rest] if rest else []
+        have = len(rest)
+        while True:
+            chunk = read(_IO_CHUNK)
+            if not chunk:
+                break
+            parts.append(chunk)
+            have += len(chunk)
+            if have >= want:
+                break
+        return b"".join(parts)
 
     def _scan(self) -> Iterator[tuple]:
         """The records, as ``(buf, records)`` for each chunk of the file read.
 
         ``buf`` holds whole records, each listed in ``records`` as ``(at,
         stop, ts_sec, ts_usec, orig_len)``: its header starts at
-        ``buf[at]`` and its frame is ``buf[at + 16:stop]``.  The file is
-        read in chunks of :data:`_IO_CHUNK` bytes; a record cut by a
-        chunk's end is carried into the next, and a record longer than a
-        chunk is completed by further reads, so a corrupt length reads no
-        more than the file holds.  The records before a malformed one are
-        yielded before it raises.
+        ``buf[at]`` and its frame is ``buf[at + 16:stop]``.  The first chunk
+        is read with the global header.  A record cut by a chunk's end is
+        carried into the next, which :meth:`_read` completes, so a corrupt
+        length reads no more than the file holds.  The records before a
+        malformed one are yielded before it raises.
         """
-        read, unpack_from = self._in.read, self._record_header.unpack_from
+        unpack_from = self._record_header.unpack_from
         head = self._record_header.size
-        rest, want = b"", 0  # the next record's bytes read so far, and its size if known
+        buf, self._rest = self._rest, b""
         while True:
-            parts = [rest] if rest else []
-            have = len(rest)
-            while True:  # one chunk, and more until the next record is whole
-                chunk = read(_IO_CHUNK)
-                if not chunk:
-                    break
-                parts.append(chunk)
-                have += len(chunk)
-                if have >= want:
-                    break
-            if have == len(rest):  # end of file
-                if rest:
-                    raise TruncatedRecord(
-                        "record header truncated" if len(rest) < head
-                        else "record body truncated"
-                    )
-                return
-            buf = b"".join(parts)
-            records, error, pos, end, want = [], None, 0, have, 0
+            # want: the size of a record cut by the end of buf, once its header is read
+            records, error, pos, end, want = [], None, 0, len(buf), 0
             while pos + head <= end:
                 ts_sec, ts_usec, incl_len, orig_len = unpack_from(buf, pos)
                 stop = pos + head + incl_len
@@ -796,6 +777,14 @@ class PcapReader:
             if error is not None:
                 raise error
             rest = buf[pos:]
+            buf = self._read(rest, want)
+            if len(buf) == len(rest):  # end of file
+                if rest:
+                    raise TruncatedRecord(
+                        "record header truncated" if len(rest) < head
+                        else "record body truncated"
+                    )
+                return
 
     def __iter__(self) -> Iterator[PcapRecord]:
         new = tuple.__new__
@@ -813,16 +802,6 @@ class PcapReader:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def iter_pcap(source: Union[str, bytes, BinaryIO]) -> Iterator[PcapRecord]:
-    """The records of a classic pcap, read and yielded one at a time.
-
-    Takes what :class:`PcapReader` takes and raises what it raises; use the
-    reader itself for the global-header knobs.
-    """
-    with PcapReader(source) as capture:
-        yield from capture
 
 
 class PcapWriter:

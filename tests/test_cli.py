@@ -905,7 +905,7 @@ def test_rewrite_pcap_of_a_big_endian_capture_equals_its_little_endian_twin(
     big = tmp_path / "big.pcap"
     big.write_bytes(
         struct.pack(">IHHiIII", 0xA1B2C3D4, 2, 4, -3600, 6, 2048, 1)
-        + b"".join(struct.pack(">IIII", r.ts_sec, r.ts_usec, r.incl_len, r.orig_len)
+        + b"".join(struct.pack(">IIII", r.ts_sec, r.ts_usec, len(r.frame_bytes), r.orig_len)
                    + r.frame_bytes for r in records)
     )
     outputs = []

@@ -17,6 +17,7 @@ from hypothesis import example, given, strategies as st
 from netsteglab.bmp import BmpInfo, make_bmp, parse_bmp_info
 from netsteglab.channels import BitMessage
 from netsteglab.interceptor import (
+    FlowReport,
     FlowState,
     Interceptor,
     _add,
@@ -40,6 +41,7 @@ from netsteglab.wirecodec import (
     ipv4,
     parse_frame,
     tcp_checksum_ok,
+    with_ip_fields,
 )
 
 
@@ -447,6 +449,22 @@ def test_interceptor_passes_non_bmp_flows_untouched():
     assert outputs[1] is frames[1]
     report = interceptor.flow_reports()[0]
     assert report.frames_modified == 0 and report.carrier_bits == 0
+
+
+def test_a_flow_decided_not_to_carry_keeps_no_unembedded_ranges():
+    """A segment past the header stash arrives first and is left unembedded;
+    once the stash shows no BMP, that range is dropped."""
+    payload = b"GET / HTTP/1.1\r\nHost: x\r\n\r\n" + bytes(100)
+    frames = [syn_frame(), data_frame(60, payload[60:]), data_frame(0, payload[:60])]
+    interceptor = Interceptor(MSG)
+    outputs = [interceptor.process(f) for f in frames]
+    assert all(out is frame for out, frame in zip(outputs, frames))
+    (state,) = interceptor.flows.values()
+    assert state.bmp is None and state.unembedded == []
+    assert interceptor.flow_reports() == [FlowReport(
+        flow="10.0.0.1:40000->10.0.0.2:8080", frames_seen=3, frames_modified=0,
+        carrier_bits=0, skipped_bits=0,
+    )]
 
 
 def test_interceptor_passes_unsupported_depth_untouched():
@@ -979,8 +997,8 @@ def _mixed_capture(rng: random.Random):
         b"\xff" * 6 + b"\x02" * 6 + b"\x08\x06" + bytes(28),  # ARP
         b"\x02" * 12 + b"\x86\xdd" + bytes(60),  # IPv6
         bytes(udp),
-        build_tcp_frame(payload=b"frag", ip_flags=IP_FLAG_MF, **kw).data,
-        build_tcp_frame(payload=b"ment", frag_offset=3, **kw).data,
+        with_ip_fields(build_tcp_frame(payload=b"frag", **kw), flags=IP_FLAG_MF).data,
+        with_ip_fields(build_tcp_frame(payload=b"ment", **kw), frag_offset=3).data,
         bytes(bad_version),
         b"\x02" * 10,  # shorter than an Ethernet header
     ])
@@ -1026,10 +1044,10 @@ def test_process_bytes_peeks_each_record_once(monkeypatch):
         calls.append(data)
         return peek(data, has_fcs)
 
+    capture = _mixed_capture(random.Random(3))  # built before peek_frame is counted
     peek = wirecodec.peek_frame
     monkeypatch.setattr(wirecodec, "peek_frame", counted)
     monkeypatch.setattr(interceptor, "peek_frame", counted)
-    capture = _mixed_capture(random.Random(3))
     tap = Interceptor(MSG)
     modified = 0
     for data in capture:

@@ -46,7 +46,6 @@ from netsteglab.wirecodec import (
     ipv4,
     ipv4_checksum_ok,
     ipv4_str,
-    iter_pcap,
     ns_to_pcap_ts,
     parse_frame,
     peek_frame,
@@ -253,12 +252,8 @@ _OUT_OF_RANGE = [
     ({"dst_port": -1}, "dst_port"),
     ({"ttl": 256}, "ttl"),
     ({"window": -1}, "window"),
-    ({"urgent_ptr": 1 << 16}, "urgent_ptr"),
     ({"flags": 1 << 9}, "flags"),
     ({"ip_id": 1 << 16}, "ip_id"),
-    ({"ip_flags": 8}, "ip_flags"),
-    ({"frag_offset": 1 << 13}, "frag_offset"),
-    ({"tos": 256}, "tos"),
     ({"src_ip": "256.0.0.1"}, "octet"),
     ({"dst_ip": 1 << 32}, "address"),
     ({"src_mac": b"\x02\x00\x00\x00\x01"}, "MAC"),
@@ -267,6 +262,11 @@ _OUT_OF_RANGE = [
     ({"src_ip": -1}, "address"),
     ({"src_ip": 1 << 32}, "address"),
     ({"dst_ip": -1}, "address"),
+    # the other end of each range
+    ({"src_port": -1}, "src_port"),
+    ({"ttl": -1}, "ttl"),
+    ({"window": 1 << 16}, "window"),
+    ({"flags": -1}, "flags"),
 ]
 
 
@@ -296,15 +296,15 @@ def test_build_tcp_frame_names_the_first_bad_argument():
 def _random_frame(rng: random.Random, *, with_fcs: bool, payload: bytes = None) -> EthernetFrame:
     if payload is None:
         payload = rng.randbytes(rng.randrange(0, 80))
-    return build_tcp_frame(
+    frame = build_tcp_frame(
         src_ip=rng.randrange(1 << 32), dst_ip=rng.randrange(1 << 32),
         src_port=rng.randrange(1 << 16), dst_port=rng.randrange(1 << 16),
         seq=rng.randrange(1 << 32), ack=rng.randrange(1 << 32),
         flags=rng.randrange(1, 1 << 9), payload=payload,
         window=rng.randrange(1, 1 << 16), ttl=rng.randrange(1, 256),
-        ip_id=rng.randrange(1 << 16), tos=rng.randrange(256),
-        with_fcs=with_fcs,
+        ip_id=rng.randrange(1 << 16), with_fcs=with_fcs,
     )
+    return with_ip_fields(frame, tos=rng.randrange(256))
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.booleans())
@@ -461,6 +461,25 @@ def ipv4_checksum_oracle(frame: EthernetFrame) -> int:
     return checksum_oracle(bytes(header))
 
 
+def _foreign_wire(
+    payload: bytes, has_fcs: bool, ip_checksum: int = 0, tcp_checksum: int = 7
+) -> bytes:
+    """Frame bytes no builder makes: IPv4 and TCP options, reserved TCP bits,
+    a 5-byte trailer, and an FCS when ``has_fcs``.  The checksums are the
+    given values, wrong unless the caller computed them."""
+    ip = struct.pack(
+        "!BBHHHBBHII", 0x46, 0, 24 + 24 + len(payload), 9, 0, 64, 6, ip_checksum,
+        ipv4("1.2.3.4"), ipv4("5.6.7.8"),
+    ) + b"\x01\x01\x01\x00"
+    tcp = struct.pack(
+        "!HHIIHHHH", 80, 1024, 1, 2, (6 << 12) | (0b101 << 9) | 0x118, 100, tcp_checksum, 3
+    )
+    wire = bytes(6) + bytes(6) + b"\x08\x00" + ip + tcp + b"\x02\x04\x05\xb4" + payload + bytes(5)
+    if has_fcs:
+        wire += struct.pack("<I", crc32_oracle(wire))
+    return wire
+
+
 def _zero_sum_frame(rng: random.Random, payload: bytes) -> EthernetFrame:
     """A frame whose correct IPv4 and TCP checksums are both 0x0000.
 
@@ -482,25 +501,31 @@ def _zero_sum_frame(rng: random.Random, payload: bytes) -> EthernetFrame:
 @given(
     seed=st.integers(0, 10_000),
     payload_len=st.integers(0, 41),
-    zero_sum=st.booleans(),
+    source=st.sampled_from(["built", "zero_sum", "foreign", "foreign_fcs"]),
     stored=st.one_of(st.sampled_from([None, 0x0000, 0xFFFF]), st.integers(0, 0xFFFF)),
     layer=st.sampled_from(["ip", "tcp"]),
 )
 def test_checksum_verifiers_match_recompute_and_compare_oracle(
-    seed, payload_len, zero_sum, stored, layer
+    seed, payload_len, source, stored, layer
 ):
     rng = random.Random(seed)
     payload = rng.randbytes(payload_len)  # odd lengths give odd TCP segments
-    if zero_sum:
+    has_fcs = source == "foreign_fcs"
+    if source == "zero_sum":
         frame = _zero_sum_frame(rng, payload)
         assert frame.ip.header_checksum == 0 and frame.tcp.checksum == 0
-    else:
+    elif source == "built":
         frame = _random_frame(rng, with_fcs=False, payload=payload)
+    else:  # outside bytes, with their checksums made right by the oracles
+        probe = parse_frame(_foreign_wire(payload, has_fcs), has_fcs)
+        frame = parse_frame(_foreign_wire(
+            payload, has_fcs, ipv4_checksum_oracle(probe), tcp_checksum_oracle(probe)
+        ), has_fcs)
     wire = bytearray(frame.emit())
     if stored is not None:  # None keeps the correct checksum
-        at = 14 + 10 if layer == "ip" else 14 + 20 + 16
+        at = 14 + 10 if layer == "ip" else 14 + frame.ip.header_len + 16
         wire[at:at + 2] = struct.pack("!H", stored)
-    parsed = parse_frame(bytes(wire))
+    parsed = parse_frame(bytes(wire), has_fcs)
     # The old verifiers: recompute and compare exactly, so a stored 0xFFFF
     # fails where 0x0000 is computed even though both are one's-complement zero.
     assert ipv4_checksum_ok(parsed) == (ipv4_checksum_oracle(parsed) == parsed.ip.header_checksum)
@@ -599,14 +624,7 @@ def test_with_tcp_payload_repairs_checksum_and_fcs():
 @pytest.mark.parametrize("has_fcs", [False, True])
 @pytest.mark.parametrize("payload", [b"hello", b"hello!"])
 def test_with_tcp_payload_on_foreign_bytes_with_options_and_trailer(has_fcs, payload):
-    ip = struct.pack(
-        "!BBHHHBBHII", 0x46, 0, 24 + 24 + len(payload), 9, 0, 64, 6, 0,
-        ipv4("1.2.3.4"), ipv4("5.6.7.8"),
-    ) + b"\x01\x01\x01\x00"
-    tcp = struct.pack("!HHIIHHHH", 80, 1024, 1, 2, (6 << 12) | (0b101 << 9) | 0x118, 100, 7, 3)
-    wire = bytes(6) + bytes(6) + b"\x08\x00" + ip + tcp + b"\x02\x04\x05\xb4" + payload + bytes(5)
-    if has_fcs:
-        wire += struct.pack("<I", crc32_oracle(wire))
+    wire = _foreign_wire(payload, has_fcs)
     spliced = with_tcp_payload(parse_frame(wire, has_fcs), payload[::-1])
     again = parse_frame(spliced.data, has_fcs)
     assert spliced == again and spliced.ip == again.ip and spliced.tcp == again.tcp
@@ -627,10 +645,10 @@ def test_with_tcp_payload_requires_equal_length():
 
 def test_with_helpers_reject_a_frame_without_their_layer():
     arp = parse_frame(b"\x01" * 6 + b"\x02" * 6 + struct.pack("!H", 0x0806) + bytes(28))
-    fragment = build_tcp_frame(
+    fragment = with_ip_fields(build_tcp_frame(
         src_ip="1.1.1.1", dst_ip="2.2.2.2", src_port=1, dst_port=2, seq=0,
-        payload=b"abc", ip_flags=IP_FLAG_MF,
-    )
+        payload=b"abc",
+    ), flags=IP_FLAG_MF)
     assert arp.ip is None and fragment.ip is not None and fragment.tcp is None
     with pytest.raises(ValueError, match="^frame has no IPv4 layer$"):
         with_ip_fields(arp, ttl=1)
@@ -784,8 +802,9 @@ def test_known_sums_hold_wherever_the_codec_claims_them(
         src_ip=rng.randrange(1 << 32), dst_ip=rng.randrange(1 << 32),
         src_port=rng.randrange(1 << 16), dst_port=rng.randrange(1 << 16),
         seq=rng.randrange(1 << 32), payload=rng.randbytes(payload_len),
-        ip_flags=ip_flags, frag_offset=frag_offset, with_fcs=with_fcs,
+        with_fcs=with_fcs,
     )
+    frame = with_ip_fields(frame, flags=ip_flags, frag_offset=frag_offset)
     assert frame.sums_known
     _assert_flag_vouches(frame)
     for step, arg in steps:
@@ -834,7 +853,8 @@ def test_a_bad_checksum_stays_unknown_until_a_rewrite_repairs_it():
     assert not strip_fcs(made).sums_known
     capture = io.BytesIO()
     write_pcap(capture, PcapFile((PcapRecord(0, 0, strip_fcs(made).data),)))
-    (record,) = iter_pcap(capture.getvalue())
+    with PcapReader(capture.getvalue()) as reader:
+        (record,) = reader
     assert not parse_frame(record.frame_bytes).sums_known
 
 
@@ -1006,8 +1026,9 @@ def test_iter_pcap_to_pcap_writer_peak_memory_stays_flat(tmp_path):
         tracemalloc.start()
         try:
             with PcapWriter(str(copy)) as writer:
-                for record in iter_pcap(str(source)):
-                    writer.write(record)
+                with PcapReader(str(source)) as reader:
+                    for record in reader:
+                        writer.write(record)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -1021,18 +1042,18 @@ def test_pcap_reader_takes_a_file_and_reads_long_records_in_pieces(tmp_path):
     path = tmp_path / "long.pcap"
     write_pcap(str(path), PcapFile(records=(PcapRecord(ts_sec=1, ts_usec=2, frame_bytes=frame),)))
     with open(path, "rb") as fh:
-        assert [r.frame_bytes for r in iter_pcap(fh)] == [frame]
+        assert [r.frame_bytes for r in PcapReader(fh)] == [frame]
         assert not fh.closed
     path.write_bytes(path.read_bytes()[:-1])
-    with pytest.raises(TruncatedRecord):
-        list(iter_pcap(str(path)))
+    with pytest.raises(TruncatedRecord), PcapReader(str(path)) as reader:
+        list(reader)
     # A corrupt length reads only what the file holds.
     header = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
     path.write_bytes(header + struct.pack("<IIII", 0, 0, 0xFFFFFFFF, 0) + frame)
     tracemalloc.start()
     try:
-        with pytest.raises(TruncatedRecord):
-            list(iter_pcap(str(path)))
+        with pytest.raises(TruncatedRecord), PcapReader(str(path)) as reader:
+            list(reader)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1330,7 +1351,7 @@ def _drain(records) -> tuple:
 
 class _Trickle:
     """A binary file that returns at most ``most`` bytes per read, as a raw
-    pipe may (at least the global header's 24, which is read at once)."""
+    pipe may."""
 
     def __init__(self, data: bytes, most: int):
         self._in, self._most = io.BytesIO(data), most
@@ -1400,10 +1421,11 @@ def _reference_rewrite(data: bytes, fn) -> tuple:
 
 
 @given(st.sampled_from("<>"), record_sizes, st.integers(0, 1 << 16), faults,
-       st.none() | st.integers(24, 3 * CHUNK))
+       st.none() | st.integers(1, 23) | st.integers(24, 3 * CHUNK))
 @example(endian="<", sizes=[CHUNK - 42, 0, 5], seed=0, fault=None, most=None)
 @example(endian=">", sizes=[CHUNK + 7, 3], seed=1, fault=("cut", 0, CHUNK), most=None)
 @example(endian="<", sizes=[10, 20, 30], seed=2, fault=("usec", 1, 0), most=None)
+@example(endian=">", sizes=[10, 0], seed=3, fault=None, most=1)  # the global header too
 def test_pcap_reader_scans_the_records_the_two_read_oracle_reads(
     endian, sizes, seed, fault, most
 ):
