@@ -382,8 +382,8 @@ def parse_frame(data: bytes, has_fcs: bool = False) -> EthernetFrame:
 
 def _ip_checksum(fixed: int, options: bytes) -> int:
     """The checksum of an IPv4 header: its fixed 20 bytes read as the
-    integer ``fixed`` (checksum field ignored), then ``options``, whole words."""
-    return _fold((fixed & ~(0xFFFF << _IP_CHECKSUM_SHIFT)) + int.from_bytes(options, "big"))
+    integer ``fixed`` (checksum field zero), then ``options``, whole words."""
+    return _fold(fixed + int.from_bytes(options, "big"))
 
 
 def _tcp_checksum(ip: Ipv4Header, tcp: TcpHeader, payload: bytes) -> int:
@@ -433,6 +433,7 @@ def ipv4_checksum_ok(frame: EthernetFrame) -> bool:
     if ip is None:
         return True
     fixed = int.from_bytes(frame.data[ETH_HEADER_LEN:ETH_HEADER_LEN + IPV4_MIN_HEADER], "big")
+    fixed &= ~(0xFFFF << _IP_CHECKSUM_SHIFT)
     return _ip_checksum(fixed, ip.options) == ip.header_checksum
 
 
@@ -479,8 +480,8 @@ def with_ip_fields(frame: EthernetFrame, **fields) -> EthernetFrame:
         bits, shift = _IPV4_BITS[name], _IPV4_SHIFT[name]
         _check_range(name, value, bits)
         fixed = (fixed & ~(((1 << bits) - 1) << shift)) | (value << shift)
-    checksum = _ip_checksum(fixed, ip.options)
-    fixed = fixed & ~(0xFFFF << _IP_CHECKSUM_SHIFT) | checksum << _IP_CHECKSUM_SHIFT
+    fixed &= ~(0xFFFF << _IP_CHECKSUM_SHIFT)
+    fixed |= _ip_checksum(fixed, ip.options) << _IP_CHECKSUM_SHIFT
     header = fixed.to_bytes(IPV4_MIN_HEADER, "big")
     header += ip.options
     # The TCP segment is copied as it is, so unless it is repaired below its

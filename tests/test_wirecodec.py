@@ -280,6 +280,16 @@ def test_build_tcp_frame_rejects_out_of_range_arguments(bad, match):
         build_tcp_frame(**args)
 
 
+def test_built_frame_has_tos_0_df_no_offset_and_no_urgent_pointer():
+    frame = build_tcp_frame(
+        src_ip="1.1.1.1", dst_ip="2.2.2.2", src_port=1, dst_port=2, seq=0, payload=b"abc",
+    )
+    # The builder's views, then the views the parser reads from its bytes.
+    for made in (frame, parse_frame(frame.emit())):
+        ip, tcp = made.ip, made.tcp
+        assert (ip.tos, ip.flags, ip.frag_offset, tcp.urgent_ptr) == (0, IP_FLAG_DF, 0, 0)
+
+
 def test_build_tcp_frame_names_the_first_bad_argument():
     with pytest.raises(ValueError, match="^MAC "):
         build_tcp_frame(src_ip=1, dst_ip=2, src_port=-1, dst_port=2, seq=0, src_mac=b"")
@@ -304,7 +314,10 @@ def _random_frame(rng: random.Random, *, with_fcs: bool, payload: bytes = None) 
         window=rng.randrange(1, 1 << 16), ttl=rng.randrange(1, 256),
         ip_id=rng.randrange(1 << 16), with_fcs=with_fcs,
     )
-    return with_ip_fields(frame, tos=rng.randrange(256))
+    # Half the frames keep the builder's own views; the rest get a TOS, and
+    # with it the views with_ip_fields makes.
+    tos = rng.choice((0, rng.randrange(1, 256)))
+    return with_ip_fields(frame, tos=tos) if tos else frame
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.booleans())
@@ -804,9 +817,12 @@ def test_known_sums_hold_wherever_the_codec_claims_them(
         seq=rng.randrange(1 << 32), payload=rng.randbytes(payload_len),
         with_fcs=with_fcs,
     )
-    frame = with_ip_fields(frame, flags=ip_flags, frag_offset=frag_offset)
     assert frame.sums_known
-    _assert_flag_vouches(frame)
+    _assert_flag_vouches(frame)  # the builder's own views
+    if (ip_flags, frag_offset) != (IP_FLAG_DF, 0):
+        frame = with_ip_fields(frame, flags=ip_flags, frag_offset=frag_offset)
+        assert frame.sums_known
+        _assert_flag_vouches(frame)
     for step, arg in steps:
         known = frame.sums_known
         if step == "payload":
