@@ -144,11 +144,14 @@ def test_unknown_locus_is_usage_error(capsys):
     assert "mars" in err
 
 
+TRANSFER_2X2 = ["transfer", "--seed", 1, "--width", 2, "--height", 2]
+REWRITE_IN_OUT = ["rewrite-pcap", "--in", "in.pcap", "--out", "out.pcap"]
+ENCODE_ORDER = ["channel", "encode", "--channel", "order", "--out", "x.pcap"]
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["rewrite-pcap", "--in", "in.pcap", "--out", "out.pcap"],
-     "a message is required (--message, --bits or --keystream-seed)"),
-    (["channel", "encode", "--channel", "order", "--out", "x.pcap"],
-     "a message is required (--message or --bits)"),
+    (REWRITE_IN_OUT, "a message is required (--message, --bits or --keystream-seed)"),
+    (ENCODE_ORDER, "a message is required (--message or --bits)"),
     (["channel", "encode", "--channel", "order", "--message", "a", "--bits", "1",
       "--out", "x.pcap"], "give at most one of --message, --bits"),
     (["rewrite-pcap", "--in", "in.pcap", "--message", "a"], "rewrite-pcap needs --in and --out"),
@@ -158,6 +161,15 @@ def test_unknown_locus_is_usage_error(capsys):
     (["channel", "encode", "--bits", "1", "--out", "x.pcap"], "channel command needs --channel"),
     (["classify"], "classify needs --states"),
     (["capacity", "--config", "no-such.cfg"], "config: cannot read no-such.cfg"),
+    *(
+        ([*command, *sources], "give at most one of --message, --bits, --keystream-seed")
+        for command in (TRANSFER_2X2, REWRITE_IN_OUT)
+        for sources in (["--message", "a", "--bits", "1"], ["--bits", "1", "--keystream-seed", 9])
+    ),
+    *(
+        ([*command, "--bits", "012"], "not a bit")
+        for command in (TRANSFER_2X2, REWRITE_IN_OUT, ENCODE_ORDER)
+    ),
 ])
 def test_missing_or_conflicting_input_is_usage_error_naming_it(
     capsys, tmp_path, monkeypatch, argv, message
@@ -542,6 +554,14 @@ def test_transfer_that_extracts_no_bits_is_a_mismatch(capsys, tmp_path):
     assert "extracted 0 bits, bit errors 0 -> MISMATCH" in out
     assert "artifacts written" not in out
     assert (tmp_path / "report.csv").read_text().endswith(",0,0,False\n")
+
+
+def test_transfer_without_a_message_source_embeds_c0de(capsys, tmp_path):
+    code, _, _ = run(
+        ["transfer", "--seed", 1, "--width", 8, "--height", 8, "--out-dir", tmp_path], capsys,
+    )
+    assert code == 0
+    assert (tmp_path / "extracted.hex").read_text().startswith("c0de")
 
 
 def test_transfer_from_image_file(capsys, tmp_path):
