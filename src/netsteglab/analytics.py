@@ -39,7 +39,6 @@ __all__ = [
     "render_capacity_table",
     "capacity_table_csv",
     "render_overhead_table",
-    "overhead_table_csv",
 ]
 
 
@@ -126,17 +125,11 @@ def classify_taxonomy(inp: TaxonomyInput) -> StegoClass:
 # capacity arithmetic
 
 
-def lsb_capacity(
-    width: int, height: int, *, carrier_layers: int = 1, bits_per_carrier_byte: int = 1
-) -> int:
-    """LSB embedding capacity of an image in bits: width x height x layers x bits.
-
-    ``carrier_layers`` counts the color planes actually used (1 for
-    red-only embedding in RGB, 1 for grayscale).
-    """
-    if min(width, height, carrier_layers, bits_per_carrier_byte) < 1:
+def lsb_capacity(width: int, height: int) -> int:
+    """LSB capacity in bits: one bit per pixel of one plane (red of RGB, or grayscale)."""
+    if min(width, height) < 1:
         raise ValueError("all capacity parameters must be >= 1")
-    return width * height * carrier_layers * bits_per_carrier_byte
+    return width * height
 
 
 def audio_capacity(
@@ -284,19 +277,19 @@ def _render_aligned(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str
     return "\n".join(lines) + "\n"
 
 
-def render_capacity_table(images: Sequence[ImageSpec] = REFERENCE_IMAGES) -> str:
+def render_capacity_table() -> str:
     rows = [
         (r.name, r.structure, r.dimensions, str(r.size_kb), f"{r.capacity_bits:,}")
-        for r in images
+        for r in REFERENCE_IMAGES
     ]
     return _render_aligned(
         ("Image", "Structure", "Dimensions", "Size (KB)", "LSB capacity (bits)"), rows
     )
 
 
-def capacity_table_csv(images: Sequence[ImageSpec] = REFERENCE_IMAGES) -> str:
+def capacity_table_csv() -> str:
     lines = ["image,structure,dimensions,size_kb,capacity_bits"]
-    for r in images:
+    for r in REFERENCE_IMAGES:
         lines.append(
             f"{r.name},{r.structure},{r.dimensions},{r.size_kb},{r.capacity_bits}"
         )
@@ -319,13 +312,3 @@ def render_overhead_table(rows: Sequence[OverheadRow] = REFERENCE_TESTBED_MS) ->
         ("Image", "Size (KB)", "Direct (ms)", "RT-NDS (ms)", "Difference (ms)", "Ratio"),
         cells,
     )
-
-
-def overhead_table_csv(rows: Sequence[OverheadRow] = REFERENCE_TESTBED_MS) -> str:
-    lines = ["image,size_kb,direct_ms,stego_ms,delta_ms,ratio"]
-    for r in rows:
-        lines.append(
-            f"{r.name},{r.size_kb},{r.direct_ms:.2f},{r.stego_ms:.2f},"
-            f"{r.delta_ms:.2f},{r.ratio:.4f}"
-        )
-    return "\n".join(lines) + "\n"

@@ -88,10 +88,6 @@ class BitMessage:
     # construction -----------------------------------------------------------
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "BitMessage":
-        return cls(_msb_plane(int.from_bytes(data, "big"), 8 * len(data)))
-
-    @classmethod
     def from_int(cls, value: int, width: int) -> "BitMessage":
         if value < 0:
             raise ValueError("value must be non-negative")
@@ -461,15 +457,8 @@ def http_header_encode(msg: BitMessage, cfg: HttpHeaderConfig) -> List[str]:
 
 
 def http_header_decode(
-    ordering: Sequence[str], cfg: HttpHeaderConfig, n_bits: Union[int, None] = None
+    ordering: Sequence[str], cfg: HttpHeaderConfig, n_bits: int
 ) -> BitMessage:
-    """Observed header ordering back to bits.
-
-    ``n_bits`` fixes the output width (the prearranged message length);
-    when omitted, the width is ``capacity_bits`` or the minimum that holds
-    the recovered index, whichever is larger.
-    """
+    """Observed header ordering back to ``n_bits`` bits, the prearranged width."""
     index = permutation_index(ordering, cfg.header_set)
-    if n_bits is None:
-        n_bits = max(cfg.capacity_bits, index.bit_length())
     return BitMessage.from_int(index, n_bits)

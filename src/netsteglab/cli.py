@@ -161,35 +161,28 @@ def _bad_setting() -> Iterator[None]:
 # shared argument helpers
 
 
-def _policy_from(args: argparse.Namespace, default_message: Optional[str] = None) -> StegoPolicy:
-    sources = [
-        s for s in (args.message, args.bits, args.keystream_seed) if s is not None
-    ]
-    if len(sources) > 1:
-        raise UsageError("give at most one of --message, --bits, --keystream-seed")
-    with _bad_setting():
-        if args.keystream_seed is not None:
-            return StegoPolicy(keystream_seed=args.keystream_seed, coverage=args.coverage)
-        if args.bits is not None:
-            message = BitMessage.from01(args.bits)
-        elif args.message is not None:
-            message = BitMessage.from_hex(args.message)
-        elif default_message is not None:
-            message = BitMessage.from_hex(default_message)
-        else:
-            raise UsageError("a message is required (--message, --bits or --keystream-seed)")
-        return StegoPolicy(message=message, coverage=args.coverage)
-
-
-def _message_from(args: argparse.Namespace) -> BitMessage:
-    if args.message is not None and args.bits is not None:
-        raise UsageError("give at most one of --message, --bits")
+def _message_from(args: argparse.Namespace, default: Optional[str] = None) -> Optional[BitMessage]:
+    """``--bits``, else ``--message``, else the hex ``default``; None for ``--keystream-seed``."""
+    flags = ["--message", "--bits"] + ["--keystream-seed"] * ("keystream_seed" in args)
+    keystream_seed = getattr(args, "keystream_seed", None)
+    if sum(s is not None for s in (args.message, args.bits, keystream_seed)) > 1:
+        raise UsageError(f"give at most one of {', '.join(flags)}")
+    if keystream_seed is not None:
+        return None
     with _bad_setting():
         if args.bits is not None:
             return BitMessage.from01(args.bits)
-        if args.message is not None:
-            return BitMessage.from_hex(args.message)
-    raise UsageError("a message is required (--message or --bits)")
+        if args.message is not None or default is not None:
+            return BitMessage.from_hex(default if args.message is None else args.message)
+    raise UsageError(f"a message is required ({', '.join(flags[:-1])} or {flags[-1]})")
+
+
+def _policy_from(args: argparse.Namespace, default_message: Optional[str] = None) -> StegoPolicy:
+    message = _message_from(args, default_message)
+    with _bad_setting():
+        return StegoPolicy(
+            message=message, keystream_seed=args.keystream_seed, coverage=args.coverage
+        )
 
 
 def _link_from(args: argparse.Namespace, seed: int) -> LinkModel:
@@ -339,13 +332,13 @@ def cmd_rewrite_pcap(args: argparse.Namespace) -> int:
 
 
 def _carrier_frame(
-    i: int, *, seq: int, payload: bytes = b"", flags: int = TCP_ACK, ttl: int = 64
+    i: int, *, seq: int, payload: bytes = b"", flags: int = TCP_ACK
 ) -> EthernetFrame:
     return build_tcp_frame(
         src_ip=CLIENT_IP, dst_ip=SERVER_IP,
         src_port=40000, dst_port=8080,
         seq=seq, ack=0, flags=flags, payload=payload,
-        ttl=ttl, ip_id=(i + 1) & 0xFFFF,
+        ttl=64, ip_id=(i + 1) & 0xFFFF,
     )
 
 

@@ -126,14 +126,10 @@ KEYSTREAM_BLOCK_BITS = 4096
 
 
 @lru_cache(maxsize=128)
-def _keystream_block(seed: int, block: int) -> int:
-    return random.Random(f"{seed}/{block}").getrandbits(KEYSTREAM_BLOCK_BITS)
-
-
-@lru_cache(maxsize=128)
 def _keystream_plane(seed: int, block: int) -> bytes:
-    """The block's bits as 0/1 bytes, least significant bit first."""
-    msb_first = format(_keystream_block(seed, block), f"0{KEYSTREAM_BLOCK_BITS}b")
+    """Block ``block`` of ``seed``'s keystream as 0/1 bytes, least significant bit first."""
+    value = random.Random(f"{seed}/{block}").getrandbits(KEYSTREAM_BLOCK_BITS)
+    msb_first = format(value, f"0{KEYSTREAM_BLOCK_BITS}b")
     return bytes(BitMessage.from01(msb_first[::-1]))
 
 
@@ -179,7 +175,7 @@ class StegoPolicy:
         """The ``j``-th bit of the embedding source."""
         if self.message is not None:
             return self.message[j % len(self.message)]
-        return (_keystream_block(self.keystream_seed, j >> 12) >> (j & 0xFFF)) & 1
+        return _keystream_plane(self.keystream_seed, j >> 12)[j & 0xFFF]
 
     def bit_at(self, index: int) -> int:
         """The bit written at carrier index ``index`` (pure in ``index``)."""

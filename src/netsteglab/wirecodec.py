@@ -458,13 +458,17 @@ def fcs_ok(frame: EthernetFrame) -> bool:
 
 # IPv4 fields the TCP checksum covers through its pseudo-header.
 _PSEUDO_FIELDS = frozenset({"src_ip", "dst_ip", "protocol", "total_length"})
+# The fields with_ip_fields sets: it keeps the version and header length
+# and computes the checksum.
+_IPV4_SETTABLE = _IPV4_BITS.keys() - {"version", "ihl", "header_checksum"}
 
 
 def with_ip_fields(frame: EthernetFrame, **fields) -> EthernetFrame:
     """Frame with scalar IPv4 header fields replaced and checksums repaired.
 
-    Only fixed-width fields may change (not ``options``/``ihl``), so the
-    header length is stable and everything after it is untouched, except
+    Only fixed-width fields may change: ``version``, ``ihl``, ``options``
+    and ``header_checksum`` raise ``ValueError``, so the header keeps its
+    length and gets a fresh checksum.  Everything after it is untouched, except
     the TCP checksum of a frame that comes out with a TCP view when a field
     of its pseudo-header changes or the frame went in without one (a
     fragment's pseudo-header may have changed since its checksum was made).
@@ -475,8 +479,8 @@ def with_ip_fields(frame: EthernetFrame, **fields) -> EthernetFrame:
     data = frame.data
     fixed = int.from_bytes(data[ETH_HEADER_LEN:ETH_HEADER_LEN + IPV4_MIN_HEADER], "big")
     for name, value in fields.items():
-        if name == "ihl" or name not in _IPV4_BITS:
-            raise ValueError(f"{name} is not a scalar field that keeps the header length")
+        if name not in _IPV4_SETTABLE:
+            raise ValueError(f"{name} is not an IPv4 field that with_ip_fields sets")
         bits, shift = _IPV4_BITS[name], _IPV4_SHIFT[name]
         _check_range(name, value, bits)
         fixed = (fixed & ~(((1 << bits) - 1) << shift)) | (value << shift)
@@ -645,23 +649,18 @@ class _PcapFields(NamedTuple):
 class PcapRecord(_PcapFields):
     """One captured frame: microsecond timestamp plus raw bytes (no FCS).
 
-    ``orig_len`` defaults to the length of ``frame_bytes``.  Construction
-    checks that each field fits its slot of the record header and raises
-    ``ValueError`` otherwise; the reader skips that for the records it has
-    checked itself.
+    Construction records the whole frame (``orig_len`` is its length) and
+    raises ``ValueError`` on a timestamp the record header cannot hold.
+    The reader, which keeps each record's ``orig_len``, and ``trace_to_pcap``
+    make their records unchecked.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls, ts_sec: int, ts_usec: int, frame_bytes: bytes, orig_len: Union[int, None] = None
-    ) -> "PcapRecord":
-        if orig_len is None:
-            orig_len = len(frame_bytes)
+    def __new__(cls, ts_sec: int, ts_usec: int, frame_bytes: bytes) -> "PcapRecord":
         if not (0 <= ts_sec < 1 << 32 and 0 <= ts_usec < 1_000_000):
             raise ValueError(f"timestamp out of range: {ts_sec} s {ts_usec} us")
-        _check_range("orig_len", orig_len, 32)
-        return tuple.__new__(cls, (ts_sec, ts_usec, frame_bytes, orig_len))
+        return tuple.__new__(cls, (ts_sec, ts_usec, frame_bytes, len(frame_bytes)))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from netsteglab.analytics import (
     covert_channel_yield,
     exfil_projection,
     lsb_capacity,
-    overhead_table_csv,
     render_capacity_table,
     render_overhead_table,
     transfer_frame_profile,
@@ -119,7 +118,7 @@ def test_taxonomy_input_normalizes_iterables():
 
 
 def test_lsb_capacity_red_layer_of_rgb_512():
-    assert lsb_capacity(512, 512, carrier_layers=1) == 262_144
+    assert lsb_capacity(512, 512) == 262_144
 
 
 def test_lsb_capacity_510_grayscale_benchmark():
@@ -130,21 +129,11 @@ def test_lsb_capacity_256_8bpp():
     assert lsb_capacity(256, 256) == 65_536
 
 
-def test_lsb_capacity_scales_with_layers_and_depth():
-    assert lsb_capacity(512, 512, carrier_layers=3) == 786_432
-    assert lsb_capacity(512, 512, bits_per_carrier_byte=2) == 524_288
-    assert lsb_capacity(10, 10) == 100
-
-
 def test_lsb_capacity_validation():
     for bad in [(0, 5), (5, 0)]:
         with pytest.raises(ValueError):
             lsb_capacity(*bad)
-    with pytest.raises(ValueError):
-        lsb_capacity(5, 5, carrier_layers=0)
-    with pytest.raises(ValueError):
-        lsb_capacity(5, 5, bits_per_carrier_byte=0)
-    # Layers and depth are keyword-only: a third positional is not a bpp.
+    # One bit per pixel of one plane: a third positional is not a bpp.
     with pytest.raises(TypeError):
         lsb_capacity(5, 5, 24)
 
@@ -328,20 +317,7 @@ def test_capacity_table_csv_parses():
     assert rows[2]["dimensions"] == "510x510x3"
 
 
-def test_overhead_table_csv_parses():
-    rows = list(csv.DictReader(io.StringIO(overhead_table_csv())))
-    assert len(rows) == 6
-    assert float(rows[0]["delta_ms"]) == pytest.approx(575.34)
-    assert float(rows[5]["ratio"]) == pytest.approx(43.23 / 8.59, abs=1e-4)
-
-
-def test_overhead_table_csv_accepts_custom_rows():
-    row = OverheadRow("Tiny", 1, 1.0, 2.0)
-    text = overhead_table_csv([row])
-    assert text.splitlines()[1] == "Tiny,1,1.00,2.00,1.00,2.0000"
-
-
-# The four reference tables byte for byte: the paper's rows as the CLI and
+# The three reference tables byte for byte: the paper's rows as the CLI and
 # demo 06 print them and as `capacity --out-dir` writes them.
 PINNED_CAPACITY_TEXT = """\
 Image    Structure  Dimensions  Size (KB)  LSB capacity (bits)
@@ -375,16 +351,6 @@ Diamond  65         7.28         42.82        35.54            5.88
 House    65         8.59         43.23        34.64            5.03
 """
 
-PINNED_OVERHEAD_CSV = """\
-image,size_kb,direct_ms,stego_ms,delta_ms,ratio
-Peppers,768,85.67,661.01,575.34,7.7158
-Baboon,768,83.15,642.12,558.97,7.7224
-Barbara,764,81.18,531.23,450.05,6.5439
-Lena,768,83.48,627.15,543.67,7.5126
-Diamond,65,7.28,42.82,35.54,5.8819
-House,65,8.59,43.23,34.64,5.0326
-"""
-
 
 @pytest.mark.parametrize(
     "render,expected",
@@ -392,9 +358,8 @@ House,65,8.59,43.23,34.64,5.0326
         (render_capacity_table, PINNED_CAPACITY_TEXT),
         (capacity_table_csv, PINNED_CAPACITY_CSV),
         (render_overhead_table, PINNED_OVERHEAD_TEXT),
-        (overhead_table_csv, PINNED_OVERHEAD_CSV),
     ],
-    ids=["capacity-text", "capacity-csv", "overhead-text", "overhead-csv"],
+    ids=["capacity-text", "capacity-csv", "overhead-text"],
 )
 def test_reference_tables_are_pinned_byte_for_byte(render, expected):
     assert render() == expected

@@ -71,7 +71,6 @@ def test_bitmessage_conversions():
     assert msg.to_int() == 0xDEADBEEF
     assert msg.to_bytes() == b"\xde\xad\xbe\xef"
     assert msg.packed_hex() == "deadbeef"
-    assert BitMessage.from_bytes(b"\xde\xad\xbe\xef") == msg
     assert BitMessage.from01(msg.to01()) == msg
     assert BitMessage.from_int(0xDEADBEEF, 32) == msg
 
@@ -147,8 +146,6 @@ def test_bitmessage_conversions_match_per_bit_reference(bits, other_bits):
     assert BitMessage.from01(msg.to01()) == msg
     assert BitMessage.from_int(value, len(bits)) == msg
     assert BitMessage.concat([msg, other, msg]) == msg + other + msg
-    if len(bits) % 8 == 0:
-        assert BitMessage.from_bytes(msg.to_bytes()) == msg
 
 
 def test_bitmessage_equality_ignores_construction_route():
@@ -435,12 +432,6 @@ def test_http_value_at_factorial_boundary():
     assert http_header_decode(ordering, cfg, n_bits=5) == msg
     with pytest.raises(CapacityExceeded):
         http_header_encode(BitMessage.from_int(24, 5), cfg)
-
-
-def test_http_decode_default_width():
-    cfg = HttpHeaderConfig()
-    ordering = http_header_encode(BitMessage.from_int(5, 4), cfg)
-    assert http_header_decode(ordering, cfg) == BitMessage.from_int(5, 4)
 
 
 def test_http_config_validation():
