@@ -680,7 +680,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

@@ -10,12 +10,18 @@ nor rewritten: it passes as it came, so the receiver still sees it fail.  A
 frame whose sums the wire layer made (``EthernetFrame.sums_known``) cannot
 fail them and is not checked again.
 
+Each flow has one verdict (:attr:`FlowState.verdict`).  It is ``None``
+while the flow's first 54 stream bytes, the BMP header, fill a stash, and
+the write that fills the stash sets it: to the :class:`BmpInfo` the tap
+embeds by, or, when the flow gives up (:func:`_give_up`) and passes, to
+the reason, ``"not-bmp"`` or ``"unsupported-bpp"``.
+
 The tap decides each frame from its header fields alone: the flow's
 4-tuple, the sequence number, the flags and the payload length.  A frame
-with no payload, or of a flow decided not to carry, passes on those.  Only
-a frame whose payload must be stashed, verified or embedded is read
-further.  So :meth:`Interceptor.process_bytes`, the entry for frames read
-from a capture, reads the fields at their fixed offsets
+with no payload, or of a flow that gave up, passes on those.  Only a frame
+whose payload must be stashed, verified or embedded is read further.  So
+:meth:`Interceptor.process_bytes`, the entry for frames read from a
+capture, reads the fields at their fixed offsets
 (:func:`~netsteglab.wirecodec.peek_frame`) and builds a frame only for
 those few; :meth:`Interceptor.process` takes a frame already built.  Both
 make the same decision in one method: it tracks the frame's flow once and
@@ -43,9 +49,7 @@ frame's carriers are read with the row slices and translated to their LSB
 plane, each run's bits are written into that plane with one slice
 assignment, and the plane is ORed back over the carriers, LSBs cleared with
 ``bytes.translate``, as one big integer; extraction reads the same runs
-out of the file's LSB plane.  :meth:`StegoPolicy.selected` and
-:meth:`StegoPolicy.bit_at` decide carriers one by one and are kept as the
-reference the engine is tested against.
+out of the file's LSB plane.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
-from math import floor
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -96,20 +99,21 @@ __all__ = [
 class FlowState:
     """Mutable per-flow tracking state (single writer per flow).
 
-    The flow is decided once ``stash_mask`` is ``_STASH_FULL``; ``bmp`` is
-    then set iff the flow carries a BMP the tap embeds into.
+    ``verdict`` is ``None`` while ``header_stash`` fills (``stash_mask``
+    marks the bytes present).  Then it is the :class:`BmpInfo` the tap
+    embeds by, or the reason the flow passes: ``"not-bmp"`` or
+    ``"unsupported-bpp"``.
     """
 
     base_seq: int
-    bmp: Optional[BmpInfo] = None
+    verdict: Union[BmpInfo, str, None] = None
     header_stash: bytearray = field(default_factory=lambda: bytearray(CLASSIFY_NEED))
     stash_mask: int = 0
     frames_seen: int = 0
     frames_modified: int = 0
     carrier_bits: int = 0
     # stream ranges [start, end) that crossed the tap unembedded and have not
-    # been embedded since; disjoint and sorted, and empty once the flow is
-    # decided not to carry
+    # been embedded since; disjoint and sorted, and empty once the flow gives up
     unembedded: list = field(default_factory=list)
 
 
@@ -163,23 +167,9 @@ class StegoPolicy:
             raise ValueError("coverage must be in (0, 1]")
         object.__setattr__(self, "coverage", coverage)
 
-    def selected(self, index: int) -> bool:
-        c = self.coverage
-        return floor((index + 1) * c) > floor(index * c)
-
     def rank(self, index: int) -> int:
         """How many carriers below ``index`` are selected."""
         return index * self.coverage.numerator // self.coverage.denominator
-
-    def source_bit(self, j: int) -> int:
-        """The ``j``-th bit of the embedding source."""
-        if self.message is not None:
-            return self.message[j % len(self.message)]
-        return _keystream_plane(self.keystream_seed, j >> 12)[j & 0xFFF]
-
-    def bit_at(self, index: int) -> int:
-        """The bit written at carrier index ``index`` (pure in ``index``)."""
-        return self.source_bit(self.rank(index))
 
     def bits(self, lo: int, hi: int) -> bytes:
         """Source bits ``lo .. hi-1`` as a plane of 0/1 bytes."""
@@ -328,6 +318,13 @@ def _cut(spans: List[Tuple[int, int]], lo: int, hi: int) -> None:
     spans[i:j] = kept
 
 
+def _give_up(state: FlowState, reason: str) -> None:
+    """Decide ``state``'s flow not to carry, for ``reason``: its frames pass
+    from now on, so none of its stream is left unembedded."""
+    state.verdict = reason
+    state.unembedded.clear()
+
+
 def _embed(
     frame: EthernetFrame, state: FlowState, start: int, policy: StegoPolicy
 ) -> EthernetFrame:
@@ -347,7 +344,7 @@ def _embed(
         _cut(state.unembedded, start, end)
     rows = [
         (slice(offset, offset + step * count, step), first, count)
-        for offset, step, first, count in carrier_slices(state.bmp, start, end)
+        for offset, step, first, count in carrier_slices(state.verdict, start, end)
     ]
     if not rows:
         return frame
@@ -385,12 +382,11 @@ class Interceptor:
     def process(self, frame: EthernetFrame) -> EthernetFrame:
         """Pass, stash or embed one frame.
 
-        Non-TCP frames, frames without payload, frames of a flow decided
-        not to carry and frames that fail their TCP checksum or FCS pass
-        untouched (the identical object).  A verified frame of an
-        undecided flow fills the header stash, and the frame that
-        completes it decides the flow.  A verified frame of a BMP flow is
-        embedded.
+        Non-TCP frames, frames without payload, frames of a flow that gave
+        up and frames that fail their TCP checksum or FCS pass untouched
+        (the identical object).  A verified frame of an undecided flow
+        fills the header stash, and the frame that completes it decides
+        the flow.  A verified frame of a BMP flow is embedded.
         """
         tcp = frame.tcp
         if tcp is None:
@@ -425,8 +421,7 @@ class Interceptor:
         """
         _, state, start, end = _track(self.flows, ip, tcp)
         state.frames_seen += 1
-        undecided = state.stash_mask != _STASH_FULL
-        if start == end or (not undecided and state.bmp is None):
+        if start == end or isinstance(state.verdict, str):
             return frame
         if not isinstance(frame, EthernetFrame):  # the views of the fields peeked
             frame = _framed(frame, b"", False, False, _views(frame, ip, tcp))
@@ -434,17 +429,13 @@ class Interceptor:
         # them is never rewritten, and never decides its flow.  A frame whose
         # sums wirecodec made over its bytes cannot fail them.
         verified = frame.sums_known or (tcp_checksum_ok(frame) and fcs_ok(frame))
-        if verified and undecided and start < CLASSIFY_NEED:
+        if verified and state.verdict is None and start < CLASSIFY_NEED:
             self._stash(state, start, frame.tcp_payload)
-        if not verified or state.stash_mask != _STASH_FULL:
+        if not verified or state.verdict is None:
             _add(state.unembedded, start, end)
             return frame
-        if undecided:  # this frame completed the stash
-            try:
-                state.bmp = parse_bmp_info(bytes(state.header_stash))
-            except (NotBmp, UnsupportedBpp):
-                state.unembedded.clear()
-                return frame
+        if isinstance(state.verdict, str):  # the stash this frame filled gave up
+            return frame
         return _embed(frame, state, start, self.policy)
 
     def flow_reports(self) -> List[FlowReport]:
@@ -465,17 +456,26 @@ class Interceptor:
         The carriers of a stream range are one run of carrier indices, so
         disjoint ranges count disjoint runs.
         """
-        if state.bmp is None:
+        if not isinstance(state.verdict, BmpInfo):
             return 0
         rank = self.policy.rank
-        spans = (_index_span(state.bmp, lo, hi) for lo, hi in state.unembedded)
+        spans = (_index_span(state.verdict, lo, hi) for lo, hi in state.unembedded)
         return sum(rank(hi) - rank(lo) for lo, hi in filter(None, spans))
 
     @staticmethod
     def _stash(state: FlowState, start: int, payload: bytes) -> None:
+        """Stash the header bytes of ``payload``; the write that fills the
+        stash decides the flow."""
         take = min(CLASSIFY_NEED - start, len(payload))
         state.header_stash[start:start + take] = payload[:take]
         state.stash_mask |= ((1 << take) - 1) << start
+        if state.stash_mask == _STASH_FULL:
+            try:
+                state.verdict = parse_bmp_info(bytes(state.header_stash))
+            except NotBmp:
+                _give_up(state, "not-bmp")
+            except UnsupportedBpp:
+                _give_up(state, "unsupported-bpp")
 
 
 def report_csv(reports: Sequence[FlowReport]) -> str:

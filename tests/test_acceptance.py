@@ -2,8 +2,9 @@
 
 Each test prints exactly one ``acceptance criterion N: PASS/FAIL`` line on
 the real stdout (bypassing capture) and then asserts, so the verdicts are
-visible in any run log.  The checks are self-contained: oracles are
-re-derived locally rather than imported from the unit-test modules.
+visible in any run log.  The carrier oracles come from ``oracles.py``,
+the one brute-force reference the unit tests judge the tap by as well; no
+check imports from a unit-test module.
 """
 
 import random
@@ -64,6 +65,7 @@ from netsteglab.wirecodec import (
     tcp_checksum_ok,
     write_pcap,
 )
+from oracles import carrier_map_oracle, embed_oracle
 
 
 def _verdict(capsys, number: int, ok: bool, detail: str) -> None:
@@ -78,25 +80,6 @@ def _carrier_frame(i, *, seq, payload=b"", flags=TCP_ACK, ttl=64):
         src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=40000, dst_port=8080,
         seq=seq, flags=flags, payload=payload, ttl=ttl, ip_id=(i + 1) & 0xFFFF,
     )
-
-
-def _oracle_carriers(info):
-    mapping = {}
-    for row in range(info.height):
-        base = info.pixel_offset + row * info.row_stride
-        for p in range(info.width):
-            pos = base + 3 * p + 2 if info.bits_per_pixel == 24 else base + p
-            mapping[pos] = row * info.width + p
-    return mapping
-
-
-def _oracle_embed(file_bytes, policy):
-    info = parse_bmp_info(file_bytes)
-    out = bytearray(file_bytes)
-    for pos, index in sorted(_oracle_carriers(info).items()):
-        if policy.selected(index):
-            out[pos] = (out[pos] & 0xFE) | policy.bit_at(index)
-    return bytes(out)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +144,7 @@ def test_criterion_4_end_to_end_over_impaired_links(capsys):
         )
         if extract_from_file(stego.delivered, policy) != expected_bits:
             failures.append(f"run {run}: extraction not bit-exact")
-        carriers = set(_oracle_carriers(parse_bmp_info(payload)))
+        carriers = set(carrier_map_oracle(parse_bmp_info(payload)))
         bad = [
             i for i, (a, b) in enumerate(zip(direct.delivered, stego.delivered))
             if a != b and i not in carriers
@@ -352,10 +335,10 @@ def test_criterion_9_oracle_equivalence_every_segmentation(capsys):
         for offset, step, first, count in carrier_slices(info, 0, len(file_bytes))
         for k in range(count)
     ] == sorted(
-        _oracle_carriers(info).items()
+        carrier_map_oracle(info).items()
     )
 
-    expected = _oracle_embed(file_bytes, policy)
+    expected = embed_oracle(file_bytes, policy)
     base_seq = 0x10000001
     mismatches = []
     for mss in range(1, len(file_bytes) + 1):

@@ -43,24 +43,11 @@ from netsteglab.wirecodec import (
     tcp_checksum_ok,
     with_ip_fields,
 )
+from oracles import bit_at, carrier_map_oracle, embed_oracle, selected, source_bit
 
 
 # ---------------------------------------------------------------------------
 # oracles
-
-
-def carrier_map_oracle(info: BmpInfo) -> dict:
-    """stream position -> carrier index, by direct structural walk."""
-    mapping = {}
-    for row in range(info.height):
-        row_base = info.pixel_offset + row * info.row_stride
-        for p in range(info.width):
-            if info.bits_per_pixel == 24:
-                pos = row_base + 3 * p + 2  # red byte of the BGR triple
-            else:
-                pos = row_base + p
-            mapping[pos] = row * info.width + p
-    return mapping
 
 
 def carrier_offsets(bmp: BmpInfo, start: int, end: int):
@@ -96,16 +83,6 @@ def carrier_offsets(bmp: BmpInfo, start: int, end: int):
             for p in range(p_lo, p_hi):
                 out.append((row_base + p, base_index + p))
     return out
-
-
-def embed_oracle(file_bytes: bytes, policy: StegoPolicy) -> bytes:
-    """Embed into the whole file at once, via the structural map."""
-    info = parse_bmp_info(file_bytes)
-    out = bytearray(file_bytes)
-    for pos, index in sorted(carrier_map_oracle(info).items()):
-        if policy.selected(index):
-            out[pos] = (out[pos] & 0xFE) | policy.bit_at(index)
-    return bytes(out)
 
 
 def data_frame(offset: int, chunk: bytes, *, base_seq: int = 0x10000001, with_fcs=False):
@@ -213,14 +190,14 @@ def test_policy_coverage_is_the_exact_fraction_of_its_decimal_text():
 def test_policy_coverage_0_7_selects_by_exact_arithmetic():
     # floor(90 * 0.7) == 62 in floats, which would select carrier 90 for rank 63.
     policy = StegoPolicy(message=BitMessage.from01("1"), coverage=0.7)
-    assert policy.selected(89) and not policy.selected(90)
-    assert [i for i in range(85, 95) if policy.selected(i)] == [85, 87, 88, 89, 91, 92, 94]
+    assert selected(policy, 89) and not selected(policy, 90)
+    assert [i for i in range(85, 95) if selected(policy, i)] == [85, 87, 88, 89, 91, 92, 94]
     assert list(policy.runs(89, 91)) == [(slice(0, None, 10), slice(0, None, 7))]
 
 
 def test_policy_message_bits_cycle():
     policy = StegoPolicy(message=BitMessage.from01("101"))
-    assert [policy.bit_at(i) for i in range(9)] == [1, 0, 1] * 3
+    assert [bit_at(policy, i) for i in range(9)] == [1, 0, 1] * 3
     assert policy.source_bits(7) == BitMessage.from01("1011011")
 
 
@@ -228,33 +205,33 @@ def test_policy_message_bits_cycle():
 def test_policy_coverage_selection_density_and_rank(coverage):
     policy = StegoPolicy(message=BitMessage.from01("1"), coverage=coverage)
     n = 1000
-    selected = [i for i in range(n) if policy.selected(i)]
-    assert len(selected) == int(n * coverage) or len(selected) == round(n * coverage)
+    chosen = [i for i in range(n) if selected(policy, i)]
+    assert len(chosen) == int(n * coverage) or len(chosen) == round(n * coverage)
     # rank(i) must equal the brute-force count of selected indices below i.
     count = 0
     for i in range(n):
-        if policy.selected(i):
+        if selected(policy, i):
             assert policy.rank(i) == count, i
             count += 1
-    assert count == len(selected)
+    assert count == len(chosen)
 
 
 def test_policy_keystream_matches_generator_oracle():
     policy = StegoPolicy(keystream_seed=99)
     block0 = random.Random("99/0").getrandbits(4096)
-    assert [policy.source_bit(j) for j in range(64)] == [
+    assert [source_bit(policy, j) for j in range(64)] == [
         (block0 >> j) & 1 for j in range(64)
     ]
     # Across the block boundary the next seeded block takes over.
     block1 = random.Random("99/1").getrandbits(4096)
-    assert policy.source_bit(4096) == block1 & 1
-    assert policy.source_bit(4097) == (block1 >> 1) & 1
+    assert source_bit(policy, 4096) == block1 & 1
+    assert source_bit(policy, 4097) == (block1 >> 1) & 1
 
 
 def test_policy_bit_at_is_pure():
     policy = StegoPolicy(message=BitMessage.from01("1100"), coverage=0.7)
-    first = [policy.bit_at(i) for i in range(50)]
-    assert [policy.bit_at(i) for i in range(50)] == first
+    first = [bit_at(policy, i) for i in range(50)]
+    assert [bit_at(policy, i) for i in range(50)] == first
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +316,13 @@ def test_classify_bmp_and_non_bmp():
         interceptor.process(syn_frame())
         interceptor.process(data_frame(20, header[20:]))
         [state] = interceptor.flows.values()
-        assert state.stash_mask != (1 << 54) - 1 and state.bmp is None
+        assert state.stash_mask != (1 << 54) - 1 and state.verdict is None
         interceptor.process(data_frame(0, header[:20]))
         assert state.stash_mask == (1 << 54) - 1
         if carries:
-            assert (state.bmp.width, state.bmp.height) == (4, 2)
+            assert (state.verdict.width, state.verdict.height) == (4, 2)
         else:
-            assert state.bmp is None
+            assert state.verdict == "not-bmp"
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +332,7 @@ def test_classify_bmp_and_non_bmp():
 def test_embed_in_frame_hand_oracle_tiny_file():
     file_bytes = make_bmp(2, 1, 24)
     policy = StegoPolicy(message=BitMessage.from01("10"))
-    state = FlowState(base_seq=0x10000001, bmp=parse_bmp_info(file_bytes))
+    state = FlowState(base_seq=0x10000001, verdict=parse_bmp_info(file_bytes))
     frame = data_frame(0, file_bytes)
     out = _embed(frame, state, 0, policy)
     a, b = frame.tcp_payload, out.tcp_payload
@@ -367,7 +344,7 @@ def test_embed_in_frame_hand_oracle_tiny_file():
 
 def test_embed_returns_same_object_when_no_carriers():
     file_bytes = make_bmp(2, 1, 24)
-    state = FlowState(base_seq=0x10000001, bmp=parse_bmp_info(file_bytes))
+    state = FlowState(base_seq=0x10000001, verdict=parse_bmp_info(file_bytes))
     frame = data_frame(0, file_bytes[:54])  # header only
     assert _embed(frame, state, 0, MSG) is frame
 
@@ -375,7 +352,7 @@ def test_embed_returns_same_object_when_no_carriers():
 def test_embed_is_idempotent():
     file_bytes = make_bmp(3, 3, 24)
     policy = StegoPolicy(message=BitMessage.from01("110"))
-    state = FlowState(base_seq=0x10000001, bmp=parse_bmp_info(file_bytes))
+    state = FlowState(base_seq=0x10000001, verdict=parse_bmp_info(file_bytes))
     frame = data_frame(0, file_bytes)
     once = _embed(frame, state, 0, policy)
     twice = _embed(once, state, 0, policy)
@@ -460,7 +437,7 @@ def test_a_flow_decided_not_to_carry_keeps_no_unembedded_ranges():
     outputs = [interceptor.process(f) for f in frames]
     assert all(out is frame for out, frame in zip(outputs, frames))
     (state,) = interceptor.flows.values()
-    assert state.bmp is None and state.unembedded == []
+    assert state.verdict == "not-bmp" and state.unembedded == []
     assert interceptor.flow_reports() == [FlowReport(
         flow="10.0.0.1:40000->10.0.0.2:8080", frames_seen=3, frames_modified=0,
         carrier_bits=0, skipped_bits=0,
@@ -474,6 +451,8 @@ def test_interceptor_passes_unsupported_depth_untouched():
     outputs = [interceptor.process(f) for f in segmented_frames(bytes(data), 32)]
     payloads = b"".join(f.tcp_payload for f in outputs)
     assert payloads == bytes(data)
+    (state,) = interceptor.flows.values()
+    assert state.verdict == "unsupported-bpp" and state.unembedded == []
 
 
 def test_interceptor_ignores_non_tcp_frames():
@@ -720,8 +699,8 @@ def oracle_chunk(data, start, end, policy):
     out = bytearray(data[start:end])
     count = 0
     for pos, index in carrier_offsets(parse_bmp_info(data), start, end):
-        if policy.selected(index):
-            out[pos - start] = out[pos - start] & 0xFE | policy.bit_at(index)
+        if selected(policy, index):
+            out[pos - start] = out[pos - start] & 0xFE | bit_at(policy, index)
             count += 1
     return bytes(out), count
 
@@ -732,7 +711,7 @@ def oracle_chunk(data, start, end, policy):
 def test_embed_in_frame_matches_per_index_oracle(window, policy):
     data, start, end = window
     chunk = data[start:end]
-    state = FlowState(base_seq=BASE_SEQ, bmp=parse_bmp_info(data))
+    state = FlowState(base_seq=BASE_SEQ, verdict=parse_bmp_info(data))
     frame = data_frame(start, chunk)
     out = _embed(frame, state, start, policy)
     expected, count = oracle_chunk(data, start, end, policy)
@@ -764,7 +743,7 @@ def test_extract_from_file_matches_per_index_oracle(window, policy):
     expected = [
         data[pos] & 1
         for pos, index in carrier_offsets(info, info.pixel_offset, stop)
-        if policy.selected(index)
+        if selected(policy, index)
     ]
     assert extract_from_file(data, policy) == BitMessage(expected)
 
@@ -776,7 +755,7 @@ def test_extract_from_file_matches_per_index_oracle(window, policy):
 )
 @example(policy=StegoPolicy(keystream_seed=1), lo=4000, n=9000)
 def test_policy_bits_match_source_bit(policy, lo, n):
-    assert policy.bits(lo, lo + n) == bytes(policy.source_bit(j) for j in range(lo, lo + n))
+    assert policy.bits(lo, lo + n) == bytes(source_bit(policy, j) for j in range(lo, lo + n))
 
 
 @given(policy=policies(), lo=st.integers(0, 1 << 40), n=st.integers(0, 600))
@@ -790,10 +769,10 @@ def test_policy_runs_match_selected_and_bit_at(policy, lo, n):
         assert run.step == policy.coverage.denominator and take.step == policy.coverage.numerator
         assert len(carriers[run]) == len(bits[take]) > 0
         got.update(zip(carriers[run], bits[take]))
-    expected = [i for i in carriers if policy.selected(i)]
+    expected = [i for i in carriers if selected(policy, i)]
     assert sorted(got) == expected
     assert len(runs) == min(policy.coverage.numerator, len(expected))
-    assert bytes(got[i] for i in expected) == bytes(policy.bit_at(i) for i in expected)
+    assert bytes(got[i] for i in expected) == bytes(bit_at(policy, i) for i in expected)
 
 
 @given(
@@ -830,7 +809,7 @@ def test_skipped_and_carrier_bits_match_set_semantics_when_header_arrives_last(
         chosen = {
             index
             for _, index in carrier_offsets(info, start, start + len(frame.tcp_payload))
-            if policy.selected(index)
+            if selected(policy, index)
         }
         if headers_seen < len(header):
             skipped |= chosen

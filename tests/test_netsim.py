@@ -24,6 +24,7 @@ from netsteglab.netsim import (
     SERVER_PORT,
     Stalled,
     TcpLiteEndpoint,
+    TraceEvent,
     _Sim,
     US,
     WARDEN_TTL,
@@ -573,6 +574,10 @@ def test_trace_to_csv_shape():
     assert lines[1].split(",")[1:4] == ["c2s", "syn", str(0x10000000)]
     for line, event in zip(lines[1:], trace.events):
         assert int(line.split(",")[4]) == len(event.frame.tcp_payload)
+    # A frame with no TCP view has no sequence number and no TCP payload.
+    arp = parse_frame(b"\x01" * 6 + b"\x02" * 6 + b"\x08\x06" + bytes(28))
+    trace = replace(trace, events=(TraceEvent(5, "c2s", "data", arp),))
+    assert trace_to_csv(trace).split("\n")[1] == "5,c2s,data,,0"
 
 
 def test_client_ip_constant_matches_frames():

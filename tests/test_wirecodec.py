@@ -422,9 +422,11 @@ def test_parse_length_branches_name_their_cause(at, value, message):
 
 def test_non_ip_ethertype_passes_through():
     wire = b"\x01" * 6 + b"\x02" * 6 + struct.pack("!H", 0x0806) + b"arp-body"
-    frame = parse_frame(wire)
-    assert frame.ip is None and frame.tcp is None
-    assert frame.emit() == wire
+    for data in (wire, wire[:14]):  # a bare Ethernet header is a whole frame
+        assert peek_frame(data) is None
+        frame = parse_frame(data)
+        assert frame.ip is None and frame.tcp is None
+        assert frame.emit() == data
 
 
 # ---------------------------------------------------------------------------
@@ -995,9 +997,11 @@ def test_pcap_truncated_record():
     data = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
     data += struct.pack("<IIII", 0, 0, len(frame), len(frame))
     data += frame[:-1]
-    with pytest.raises(TruncatedRecord):
+    with pytest.raises(TruncatedRecord, match="^record body truncated$"):
         read_pcap(data)
-    with pytest.raises(TruncatedRecord):
+    with pytest.raises(TruncatedRecord, match="^record body truncated$"):
+        read_pcap(data[: 24 + 16])  # cut right after the record header
+    with pytest.raises(TruncatedRecord, match="^record header truncated$"):
         read_pcap(data[: 24 + 8])  # record header itself cut
 
 
