@@ -230,6 +230,10 @@ class _Sim:
         self.tap = tap
         self.tap_delay_ns = tap_delay_ns if tap is not None else 0
         self.max_time_ns = max_time_ns
+        # The link's delays in ns, read once rather than rounded per frame.
+        self.propagation_ns = link.propagation_ns
+        self.processing_ns = link.processing_ns
+        self.jitter_ns = link.jitter_ns
 
         self.rng = random.Random(f"{link.seed}/link")
         self.warden_rng = random.Random(f"{link.seed}/warden")
@@ -260,7 +264,7 @@ class _Sim:
 
         # Fixed RTO, derived generously from link nominals so that jittered
         # round trips do not trigger spurious retransmits.
-        worst_rtt = rtt(link) + 2 * link.jitter_ns + 2 * self.tap_delay_ns
+        worst_rtt = rtt(link) + 2 * self.jitter_ns + 2 * self.tap_delay_ns
         self.rto_ns = 3 * worst_rtt + 1 * MS
 
         # Receiver: in-order delivery plus an out-of-order stash.
@@ -285,9 +289,9 @@ class _Sim:
         if self.link.loss_rate and self.rng.random() < self.link.loss_rate:
             self.log("drop", direction, frame)
             return
-        transit = self.link.propagation_ns + self.tap_delay_ns
-        if self.link.jitter_ns:
-            transit += round(self.rng.uniform(-self.link.jitter_ns, self.link.jitter_ns))
+        transit = self.propagation_ns + self.tap_delay_ns
+        if self.jitter_ns:
+            transit += round(self.rng.uniform(-self.jitter_ns, self.jitter_ns))
         arrival = self.now + max(0, transit)
         if self.link.reorder_rate and self.rng.random() < self.link.reorder_rate:
             prev = self.prev_arrival[direction]
@@ -368,7 +372,7 @@ class _Sim:
 
     def on_syn_arrive(self, frame: EthernetFrame) -> None:
         # Duplicate SYNs get a fresh SYN-ACK: that is the loss recovery.
-        self.schedule(self.now + self.link.processing_ns, self.send_synack)
+        self.schedule(self.now + self.processing_ns, self.send_synack)
 
     def send_synack(self) -> None:
         self.send(
@@ -441,7 +445,7 @@ class _Sim:
             while len(self.delivered) in self.ooo:
                 self.delivered += self.ooo.pop(len(self.delivered))
         # One cumulative ACK per received data frame, after nodal processing.
-        self.schedule(self.now + self.link.processing_ns, self.send_ack)
+        self.schedule(self.now + self.processing_ns, self.send_ack)
 
     def send_ack(self) -> None:
         self.send(

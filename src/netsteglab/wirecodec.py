@@ -21,14 +21,19 @@ parser makes the views of outside bytes: constructing a frame from bytes
 parses them, in two stages.  :func:`peek_frame` reads the fixed-offset
 header fields and checks every offset and length rule, and the views are
 made from what it read; a caller that needs only those fields peeks and
-builds no frame.  The two builders, :func:`build_tcp_frame` and
-:func:`with_tcp_payload`, make the views of the values they packed: each
-sums its checksums from those values (RFC 1071 arithmetic), packs its
-headers once with the checksums in place, joins the frame and its FCS once,
-and does not parse what it made.  :func:`with_ip_fields` parses its output,
-since the fields it changes can change what the parser decides.  A test
-holds every view a builder makes equal to a re-parse of its bytes.  The
-verifiers recompute each checksum with the value sum a builder uses.
+builds no frame.  The three builders, :func:`build_tcp_frame`,
+:func:`with_tcp_payload` and :func:`with_ip_fields`, make the views of the
+values they packed: each sums its checksums from those values (RFC 1071
+arithmetic), packs its headers once with the checksums in place, joins the
+frame and its FCS once, and does not parse what it made.  The one
+exception: :func:`with_ip_fields` parses its output when it changes the
+flags, fragment offset, protocol or total length, the fields that decide
+whether and how the bytes parse.  A test holds every view a builder makes
+equal to a re-parse of its bytes.  The verifiers recompute each checksum
+with the value sum a builder uses: :func:`with_ip_fields` and
+:func:`ipv4_checksum_ok` share one sum of the IPv4 view's values, as
+:func:`with_tcp_payload` and :func:`tcp_checksum_ok` share one of the TCP
+view's.
 
 A frame this module made carries known sums: :attr:`EthernetFrame.sums_known`
 is True when :func:`build_tcp_frame` or a ``with_*`` helper computed its TCP
@@ -54,8 +59,7 @@ import stat
 import struct
 import zlib
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import BinaryIO, Callable, Iterator, List, NamedTuple, Tuple, Union
+from typing import BinaryIO, Callable, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
 ETHERTYPE_IPV4 = 0x0800
 PROTO_TCP = 6
@@ -169,17 +173,6 @@ def _check_range(name: str, value: int, bits: int) -> None:
         raise ValueError(f"{name} out of range for {bits} bits: {value!r}")
 
 
-_IPV4_BITS = {
-    "version": 4, "ihl": 4, "tos": 8, "total_length": 16, "identification": 16,
-    "flags": 3, "frag_offset": 13, "ttl": 8, "protocol": 8, "header_checksum": 16,
-    "src_ip": 32, "dst_ip": 32,
-}
-# Where each fixed IPv4 field's lowest bit sits in the 160-bit fixed header
-# (``_IPV4_BITS`` lists the fields in wire order).
-_IPV4_SHIFT = dict(zip(_IPV4_BITS, (160 - end for end in accumulate(_IPV4_BITS.values()))))
-_IP_CHECKSUM_SHIFT = _IPV4_SHIFT["header_checksum"]
-
-
 class Ipv4Header(NamedTuple):
     """The IPv4 header of a frame, as the parser reads it from the bytes
     (or as a builder packed it)."""
@@ -232,8 +225,8 @@ class EthernetFrame:
     four bytes when ``has_fcs``.  ``ip`` and ``tcp`` are the IPv4 and TCP
     views of those bytes (``None`` where a layer is absent or, for TCP,
     fragmented).  Constructing a frame parses ``data`` into the views, and
-    malformed bytes raise :class:`WireError`; the two builders make a
-    frame's views from the values they packed.  Frames compare and hash by
+    malformed bytes raise :class:`WireError`; the builders make a frame's
+    views from the values they packed.  Frames compare and hash by
     ``(data, has_fcs)``.  ``sums_known`` is True only on a frame whose TCP
     checksum and FCS this module computed.  The module docstring states
     both rules.
@@ -380,10 +373,15 @@ def parse_frame(data: bytes, has_fcs: bool = False) -> EthernetFrame:
 # checksum plumbing and mutation helpers
 
 
-def _ip_checksum(fixed: int, options: bytes) -> int:
-    """The checksum of an IPv4 header: its fixed 20 bytes read as the
-    integer ``fixed`` (checksum field zero), then ``options``, whole words."""
-    return _fold(fixed + int.from_bytes(options, "big"))
+def _ip_checksum(ip: Sequence) -> int:
+    """The checksum of the IPv4 header whose view values are ``ip``
+    (checksum field ignored), options included."""
+    version, ihl, tos, total_length, ident, flags, frag_offset, ttl, proto, _, src, dst, options = ip
+    # The sum of the views' values is the sum of the bytes they were read from.
+    return _fold(
+        (version << 12 | ihl << 8 | tos) + total_length + ident + (flags << 13 | frag_offset)
+        + (ttl << 8 | proto) + src + dst + int.from_bytes(options, "big")
+    )
 
 
 def _tcp_checksum(ip: Ipv4Header, tcp: TcpHeader, payload: bytes) -> int:
@@ -430,11 +428,7 @@ def _framed(
 def ipv4_checksum_ok(frame: EthernetFrame) -> bool:
     """Verify the IPv4 header checksum; vacuously true without an IP layer."""
     ip = frame.ip
-    if ip is None:
-        return True
-    fixed = int.from_bytes(frame.data[ETH_HEADER_LEN:ETH_HEADER_LEN + IPV4_MIN_HEADER], "big")
-    fixed &= ~(0xFFFF << _IP_CHECKSUM_SHIFT)
-    return _ip_checksum(fixed, ip.options) == ip.header_checksum
+    return ip is None or _ip_checksum(ip) == ip.header_checksum
 
 
 def tcp_checksum_ok(frame: EthernetFrame) -> bool:
@@ -458,9 +452,18 @@ def fcs_ok(frame: EthernetFrame) -> bool:
 
 # IPv4 fields the TCP checksum covers through its pseudo-header.
 _PSEUDO_FIELDS = frozenset({"src_ip", "dst_ip", "protocol", "total_length"})
-# The fields with_ip_fields sets: it keeps the version and header length
-# and computes the checksum.
-_IPV4_SETTABLE = _IPV4_BITS.keys() - {"version", "ihl", "header_checksum"}
+# The IPv4 fields that decide whether and how the bytes parse: whether the
+# datagram is a fragment, whether it carries TCP, and where its segment ends.
+_PARSE_FIELDS = frozenset({"flags", "frag_offset", "protocol", "total_length"})
+# The fields with_ip_fields sets, each with its index in an Ipv4Header and
+# its width in bits: it keeps the version and header length and computes
+# the checksum.
+_IPV4_SETTABLE = {
+    name: (Ipv4Header._fields.index(name), bits) for name, bits in (
+        ("tos", 8), ("total_length", 16), ("identification", 16), ("flags", 3),
+        ("frag_offset", 13), ("ttl", 8), ("protocol", 8), ("src_ip", 32), ("dst_ip", 32),
+    )
+}
 
 
 def with_ip_fields(frame: EthernetFrame, **fields) -> EthernetFrame:
@@ -472,28 +475,41 @@ def with_ip_fields(frame: EthernetFrame, **fields) -> EthernetFrame:
     the TCP checksum of a frame that comes out with a TCP view when a field
     of its pseudo-header changes or the frame went in without one (a
     fragment's pseudo-header may have changed since its checksum was made).
+
+    The header is packed from the input's ``ip`` view with the fields
+    replaced, and its checksum summed from those values as
+    :func:`ipv4_checksum_ok` sums them.  Only ``flags``, ``frag_offset``,
+    ``protocol`` and ``total_length`` decide whether and how the new bytes
+    parse, so a call that sets none of them makes its views from the values
+    it packed (the ``tcp`` view is the input's), and a call that sets any
+    of them parses its output.
     """
     ip = frame.ip
     if ip is None:
         raise ValueError("frame has no IPv4 layer")
-    data = frame.data
-    fixed = int.from_bytes(data[ETH_HEADER_LEN:ETH_HEADER_LEN + IPV4_MIN_HEADER], "big")
+    values = list(ip)
     for name, value in fields.items():
         if name not in _IPV4_SETTABLE:
             raise ValueError(f"{name} is not an IPv4 field that with_ip_fields sets")
-        bits, shift = _IPV4_BITS[name], _IPV4_SHIFT[name]
+        at, bits = _IPV4_SETTABLE[name]
         _check_range(name, value, bits)
-        fixed = (fixed & ~(((1 << bits) - 1) << shift)) | (value << shift)
-    fixed &= ~(0xFFFF << _IP_CHECKSUM_SHIFT)
-    fixed |= _ip_checksum(fixed, ip.options) << _IP_CHECKSUM_SHIFT
-    header = fixed.to_bytes(IPV4_MIN_HEADER, "big")
-    header += ip.options
-    # The TCP segment is copied as it is, so unless it is repaired below its
-    # checksum is as good (or as unknown) as the input's.
-    out = _framed(
-        data[:ETH_HEADER_LEN] + header, frame.payload[ip.header_len:], frame.has_fcs,
-        frame.sums_known,
-    )
+        values[at] = value
+    values[9] = _ip_checksum(values)  # the header_checksum
+    (version, ihl, tos, total_length, ident, flags, frag_offset, ttl, proto, checksum, src, dst,
+     options) = values
+    data = frame.data
+    head = data[:ETH_HEADER_LEN] + _IPV4.pack(
+        version << 4 | ihl, tos, total_length, ident, flags << 13 | frag_offset, ttl, proto,
+        checksum, src, dst,
+    ) + options
+    # The TCP segment and any trailer are copied as they are, so unless the
+    # segment is repaired below its checksum is as good (or as unknown) as
+    # the input's.
+    tail = data[ETH_HEADER_LEN + 4 * ihl:frame._fcs_at]
+    views = None
+    if _PARSE_FIELDS.isdisjoint(fields):  # the bytes parse as the input's did
+        views = (tuple.__new__(Ipv4Header, values), frame.tcp)
+    out = _framed(head, tail, frame.has_fcs, frame.sums_known, views)
     repair = frame.tcp is None or not _PSEUDO_FIELDS.isdisjoint(fields)
     if out.tcp is not None and repair:
         return with_tcp_payload(out, out.tcp_payload)

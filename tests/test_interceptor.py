@@ -24,6 +24,7 @@ from netsteglab.interceptor import (
     _cut,
     StegoPolicy,
     _embed,
+    _keystream_plane,
     _track,
     carrier_slices,
     extract_from_file,
@@ -229,9 +230,23 @@ def test_policy_keystream_matches_generator_oracle():
 
 
 def test_policy_bit_at_is_pure():
-    policy = StegoPolicy(message=BitMessage.from01("1100"), coverage=0.7)
-    first = [bit_at(policy, i) for i in range(50)]
-    assert [bit_at(policy, i) for i in range(50)] == first
+    """``StegoPolicy.bits`` is a pure function of its range: asking for the
+    same ranges in a shuffled order, twice, gives the bits a fresh policy
+    gives, also when the keystream planes come from the cache."""
+    ranges = [(0, 50), (3, 4), (7, 7), (4090, 4200), (5, 4097), (8191, 8193), (12000, 12288)]
+    rng = random.Random(11)
+    for make in (
+        lambda: StegoPolicy(message=BitMessage.from01("1100"), coverage=0.7),
+        lambda: StegoPolicy(keystream_seed=99, coverage=0.7),
+    ):
+        policy = make()
+        asked = []
+        for _ in range(2):
+            rng.shuffle(ranges)
+            asked += [(lo, hi, policy.bits(lo, hi)) for lo, hi in ranges]
+        _keystream_plane.cache_clear()
+        fresh = make()
+        assert all(bits == fresh.bits(lo, hi) for lo, hi, bits in asked)
 
 
 # ---------------------------------------------------------------------------

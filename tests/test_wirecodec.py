@@ -303,17 +303,52 @@ def test_build_tcp_frame_names_the_first_bad_argument():
 # frame round-trips
 
 
-def _random_frame(rng: random.Random, *, with_fcs: bool, payload: bytes = None) -> EthernetFrame:
+def _outside_frame(rng: random.Random, with_fcs: bool, payload: bytes) -> EthernetFrame:
+    """A frame parsed from bytes no builder makes: 4 to 40 bytes of IPv4
+    options and of TCP options, random reserved TCP bits, a 1- to 24-byte
+    trailer, and checksums and FCS made right by the oracles."""
+    ip_options = rng.randbytes(4 * rng.randrange(1, 11))
+    tcp_options = rng.randbytes(4 * rng.randrange(1, 11))
+    ihl, offset = 5 + len(ip_options) // 4, 5 + len(tcp_options) // 4
+    ip = struct.pack(
+        "!BBHHHBBHII", 0x40 | ihl, rng.randrange(256), 4 * (ihl + offset) + len(payload),
+        rng.randrange(1 << 16), rng.choice((0, IP_FLAG_DF)) << 13, rng.randrange(256), 6, 0,
+        rng.randrange(1 << 32), rng.randrange(1 << 32),
+    ) + ip_options
+    tcp = struct.pack(
+        "!HHIIHHHH", rng.randrange(1 << 16), rng.randrange(1 << 16), rng.randrange(1 << 32),
+        rng.randrange(1 << 32), offset << 12 | rng.randrange(1 << 12), rng.randrange(1 << 16),
+        0, rng.randrange(1 << 16),
+    ) + tcp_options
+    wire = bytearray(rng.randbytes(12) + b"\x08\x00" + ip + tcp + payload
+                     + rng.randbytes(rng.randrange(1, 25)))
+    probe = parse_frame(bytes(wire))
+    struct.pack_into("!H", wire, 14 + 10, ipv4_checksum_oracle(probe))
+    struct.pack_into("!H", wire, 14 + 4 * ihl + 16, tcp_checksum_oracle(probe))
+    if with_fcs:
+        wire += struct.pack("<I", crc32_oracle(wire))
+    return parse_frame(bytes(wire), with_fcs)
+
+
+def _random_frame(
+    rng: random.Random, *, with_fcs: bool, payload: bytes = None, outside: bool = False
+) -> EthernetFrame:
+    """A random frame with a TCP view.  Built frames carry no options and no
+    trailer; with ``outside``, half the frames are parsed from outside bytes
+    with options and a trailer instead (see :func:`_outside_frame`)."""
     if payload is None:
         payload = rng.randbytes(rng.randrange(0, 80))
-    frame = build_tcp_frame(
-        src_ip=rng.randrange(1 << 32), dst_ip=rng.randrange(1 << 32),
-        src_port=rng.randrange(1 << 16), dst_port=rng.randrange(1 << 16),
-        seq=rng.randrange(1 << 32), ack=rng.randrange(1 << 32),
-        flags=rng.randrange(1, 1 << 9), payload=payload,
-        window=rng.randrange(1, 1 << 16), ttl=rng.randrange(1, 256),
-        ip_id=rng.randrange(1 << 16), with_fcs=with_fcs,
-    )
+    if outside and rng.random() < 0.5:
+        frame = _outside_frame(rng, with_fcs, payload)
+    else:
+        frame = build_tcp_frame(
+            src_ip=rng.randrange(1 << 32), dst_ip=rng.randrange(1 << 32),
+            src_port=rng.randrange(1 << 16), dst_port=rng.randrange(1 << 16),
+            seq=rng.randrange(1 << 32), ack=rng.randrange(1 << 32),
+            flags=rng.randrange(1, 1 << 9), payload=payload,
+            window=rng.randrange(1, 1 << 16), ttl=rng.randrange(1, 256),
+            ip_id=rng.randrange(1 << 16), with_fcs=with_fcs,
+        )
     # Half the frames keep the builder's own views; the rest get a TOS, and
     # with it the views with_ip_fields makes.
     tos = rng.choice((0, rng.randrange(1, 256)))
@@ -323,7 +358,7 @@ def _random_frame(rng: random.Random, *, with_fcs: bool, payload: bytes = None) 
 @given(st.integers(min_value=0, max_value=10_000), st.booleans())
 def test_frame_emit_parse_round_trip(seed, with_fcs):
     rng = random.Random(seed)
-    frame = _random_frame(rng, with_fcs=with_fcs)
+    frame = _random_frame(rng, with_fcs=with_fcs, outside=True)
     wire = frame.emit()
     back = parse_frame(wire, has_fcs=with_fcs)
     assert back == frame
@@ -608,6 +643,44 @@ def test_with_ip_fields_repairs_tcp_checksum_on_pseudo_header_change(steps):
     assert tcp_checksum_oracle(out) == out.tcp.checksum
 
 
+@pytest.mark.parametrize(
+    "changes, parses",
+    [
+        ({"tos": 0x10}, 0),
+        ({"identification": 0xABCD}, 0),
+        ({"ttl": 1}, 0),
+        ({"src_ip": 0x0A000063}, 0),
+        ({"dst_ip": 0xC0A80001}, 0),
+        ({"ttl": 64, "identification": 0x1234}, 0),  # what the active warden sets
+        ({"flags": IP_FLAG_MF}, 1),
+        ({"frag_offset": 5}, 1),
+        ({"protocol": 17}, 1),
+        ({"total_length": 20 + 20 + 3}, 1),
+    ],
+)
+def test_with_ip_fields_parses_only_when_the_parse_can_change(monkeypatch, changes, parses):
+    """Only flags, fragment offset, protocol and total length decide whether
+    and how the rewritten bytes parse; a rewrite of any other field makes
+    its views from the values it packed."""
+    frame = build_tcp_frame(
+        src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=40000, dst_port=8080,
+        seq=100, payload=b"0123456789", with_fcs=True,
+    )
+    calls = []
+
+    def counted(data, has_fcs=False):
+        calls.append(data)
+        return peek(data, has_fcs)
+
+    peek = wirecodec.peek_frame
+    monkeypatch.setattr(wirecodec, "peek_frame", counted)
+    out = with_ip_fields(frame, **changes)
+    assert len(calls) == parses
+    monkeypatch.undo()
+    _assert_views_match_parser(out)
+    assert ipv4_checksum_ok(out) and fcs_ok(out)
+
+
 def test_with_ip_fields_rejects_structural_changes():
     frame = build_tcp_frame(
         src_ip="1.1.1.1", dst_ip="2.2.2.2", src_port=1, dst_port=2, seq=0,
@@ -710,7 +783,7 @@ def _assert_views_match_parser(frame: EthernetFrame) -> None:
 )
 def test_mutators_give_the_views_the_parser_gives(seed, with_fcs, changes):
     rng = random.Random(seed)
-    frame = _random_frame(rng, with_fcs=with_fcs)
+    frame = _random_frame(rng, with_fcs=with_fcs, outside=True)
     _assert_views_match_parser(frame)
     if frame.tcp is not None:
         spliced = with_tcp_payload(frame, rng.randbytes(len(frame.tcp_payload)))
@@ -817,17 +890,16 @@ def test_known_sums_hold_wherever_the_codec_claims_them(
     seed, payload_len, with_fcs, ip_flags, frag_offset, steps
 ):
     rng = random.Random(seed)
-    frame = build_tcp_frame(
-        src_ip=rng.randrange(1 << 32), dst_ip=rng.randrange(1 << 32),
-        src_port=rng.randrange(1 << 16), dst_port=rng.randrange(1 << 16),
-        seq=rng.randrange(1 << 32), payload=rng.randbytes(payload_len),
-        with_fcs=with_fcs,
-    )
-    assert frame.sums_known
-    _assert_flag_vouches(frame)  # the builder's own views
-    if (ip_flags, frag_offset) != (IP_FLAG_DF, 0):
+    frame = _random_frame(rng, with_fcs=with_fcs, payload=rng.randbytes(payload_len),
+                          outside=True)
+    # Built frames have known sums; frames parsed from outside bytes, which
+    # carry IPv4 options, do not.
+    assert frame.sums_known == (frame.ip.ihl == 5)
+    _assert_flag_vouches(frame)
+    if (ip_flags, frag_offset) != (frame.ip.flags, 0):
+        known = frame.sums_known
         frame = with_ip_fields(frame, flags=ip_flags, frag_offset=frag_offset)
-        assert frame.sums_known
+        assert frame.sums_known == known
         _assert_flag_vouches(frame)
     for step, arg in steps:
         known = frame.sums_known

@@ -31,7 +31,7 @@ TARGETS = {  # module: (functions mutated, test files each mutant runs)
     ),
     "wirecodec": (
         {"peek_frame", "_scan", "rewrite_records", "_read", "_fold", "_words", "_tcp_checksum",
-         "_ip_checksum", "with_tcp_payload"},
+         "_ip_checksum", "with_ip_fields", "with_tcp_payload"},
         ["tests/test_wirecodec.py", "tests/test_interceptor.py"],
     ),
 }
